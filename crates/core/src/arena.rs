@@ -73,19 +73,27 @@ impl ArenaBytes {
         }
     }
 
-    /// Copies `bytes` into a fresh aligned owned buffer.
-    fn copy_aligned(bytes: &[u8]) -> ArenaBytes {
-        let len = bytes.len();
+    /// A `len`-byte aligned image, zeroed and then written by `fill` before
+    /// it becomes read-only — the `freeze()` construction path, which
+    /// writes every section in place. (Large heap blocks are not
+    /// cache-line aligned, so a finished `Vec` would cost a second copy in
+    /// [`from_vec`](Self::from_vec).)
+    pub(crate) fn build(len: usize, fill: impl FnOnce(&mut [u8])) -> ArenaBytes {
         let mut buf = vec![0u8; len + ARENA_ALIGN];
         // `align_offset` on `*const u8` always succeeds for power-of-two
         // alignments in practice; the modulo keeps a hypothetical `MAX`
         // sentinel in bounds (alignment is a performance nicety, never a
         // soundness requirement — all decoding is byte-based).
         let start = buf.as_ptr().align_offset(ARENA_ALIGN) % ARENA_ALIGN;
-        buf[start..start + len].copy_from_slice(bytes);
+        fill(&mut buf[start..start + len]);
         ArenaBytes {
             repr: Repr::Owned { buf, start, len },
         }
+    }
+
+    /// Copies `bytes` into a fresh aligned owned buffer.
+    fn copy_aligned(bytes: &[u8]) -> ArenaBytes {
+        ArenaBytes::build(bytes.len(), |img| img.copy_from_slice(bytes))
     }
 
     /// Loads `path` with one aligned bulk `read_exact` — the fallback load

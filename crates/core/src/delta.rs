@@ -53,7 +53,7 @@
 use crate::approx::DEFAULT_PRECISION;
 use crate::engine::{ExactStore, ReversePassEngine, SummaryStore, VhllStore};
 use crate::frozen::{EntriesSlice, FrozenApproxOracle, FrozenExactOracle};
-use crate::obs::{metric_u64, Counter, Gauge, Hist, NoopRecorder, Recorder, Span};
+use crate::obs::{metric_u64, Counter, Gauge, HeapBytes, Hist, NoopRecorder, Recorder, Span};
 use crate::oracle::{InfluenceOracle, NodeBitset};
 use crate::trace::{NoopTracer, SpanId, TraceEvent, TraceId, Tracer};
 use infprop_hll::{estimate_from_registers, HyperLogLog, RunningEstimator};
@@ -122,7 +122,6 @@ fn max_into(acc: &mut [u8], src: &[u8]) {
 /// `S` is the summary backend the overlay is built into ([`ExactStore`]
 /// or [`VhllStore`]); the layered oracles own the corresponding frozen
 /// arena types.
-#[derive(Clone)]
 pub struct DeltaOverlay<S> {
     window: Window,
     /// Node-universe floor: the base arena's `num_nodes`. Overlay builds
@@ -135,14 +134,44 @@ pub struct DeltaOverlay<S> {
     log: Vec<Interaction>,
     /// Length of the tail prefix of `log`.
     tail_len: usize,
-    /// Empty store cloned as the seed of every overlay rebuild (carries
-    /// backend parameters such as the sketch precision).
-    template: S,
+    /// The one store every overlay and compaction rebuild runs through:
+    /// cleared before each pass and only ever grown (with `ensure_nodes`),
+    /// so a pass costs the log and the rows it touches rather than a fresh
+    /// `β`-cell sketch per node. Only its empty shape matters between
+    /// passes, so [`Clone`] does not copy it.
+    store: S,
 }
 
-impl<S: SummaryStore + Clone> DeltaOverlay<S> {
+/// Copies the log and bounds but not the rebuild store, whose contents are
+/// scratch between passes: the copy starts from an empty store with the
+/// same backend parameters and allocates its node slots on its first
+/// rebuild. Copying the store would double a layered vHLL oracle's memory
+/// (~28 KB per node at `β = 512`) for no change in any answer.
+impl<S: SummaryStore> Clone for DeltaOverlay<S> {
+    fn clone(&self) -> Self {
+        DeltaOverlay {
+            window: self.window,
+            min_nodes: self.min_nodes,
+            base_frontier: self.base_frontier,
+            log: self.log.clone(),
+            tail_len: self.tail_len,
+            store: self.store.empty_like(),
+        }
+    }
+}
+
+impl<S: SummaryStore + HeapBytes> HeapBytes for DeltaOverlay<S> {
+    /// The log plus the retained rebuild store.
+    fn heap_bytes(&self) -> usize {
+        self.log.capacity() * std::mem::size_of::<Interaction>() + self.store.heap_bytes()
+    }
+}
+
+impl<S: SummaryStore> DeltaOverlay<S> {
     /// An empty delta on top of a base arena with `min_nodes` nodes whose
-    /// newest interaction is `base_frontier`.
+    /// newest interaction is `base_frontier`. Every rebuild runs through
+    /// `store` (cleared before each pass), which also fixes the backend
+    /// parameters such as the sketch precision.
     ///
     /// # Panics
     ///
@@ -151,9 +180,9 @@ impl<S: SummaryStore + Clone> DeltaOverlay<S> {
         window: Window,
         min_nodes: usize,
         base_frontier: Option<Timestamp>,
-        template: S,
+        store: S,
     ) -> Self {
-        Self::from_log(window, min_nodes, base_frontier, Vec::new(), 0, template)
+        Self::from_log(window, min_nodes, base_frontier, Vec::new(), 0, store)
     }
 
     /// A delta seeded with the base's window tail (see [`DeltaOverlay`]):
@@ -165,7 +194,7 @@ impl<S: SummaryStore + Clone> DeltaOverlay<S> {
         base_frontier: Option<Timestamp>,
         log: Vec<Interaction>,
         tail_len: usize,
-        template: S,
+        store: S,
     ) -> Self {
         window.assert_valid();
         debug_assert!(tail_len <= log.len());
@@ -179,7 +208,7 @@ impl<S: SummaryStore + Clone> DeltaOverlay<S> {
             base_frontier,
             log,
             tail_len,
-            template,
+            store,
         }
     }
 
@@ -251,47 +280,47 @@ impl<S: SummaryStore + Clone> DeltaOverlay<S> {
     }
 
     /// Rebuilds the overlay store from the whole log over the current
-    /// [`universe`](Self::universe). Engine-level metrics of the pass flow
-    /// into `rec`.
-    pub fn build_overlay_recorded<R: Recorder>(&self, rec: &R) -> S {
-        self.build_slice_recorded(0, self.universe(), rec)
+    /// [`universe`](Self::universe) and returns it for freezing.
+    /// Engine-level metrics of the pass flow into `rec`.
+    pub fn build_overlay_recorded<R: Recorder>(&mut self, rec: &R) -> &S {
+        let universe = self.universe();
+        self.build_slice_traced(0, universe, rec, NoopTracer, TraceId::NONE, SpanId::NONE)
     }
 
-    /// Runs the re-entrant reverse pass over `log[from..]` into a fresh
-    /// clone of the template store covering `universe` nodes.
-    pub(crate) fn build_slice_recorded<R: Recorder>(
-        &self,
-        from: usize,
-        universe: usize,
-        rec: &R,
-    ) -> S {
-        self.build_slice_traced(from, universe, rec, NoopTracer, TraceId::NONE, SpanId::NONE)
-    }
-
-    /// [`build_slice_recorded`](Self::build_slice_recorded) with causal
-    /// tracing: the engine pass becomes a `build.reverse_scan` span of
-    /// `trace` under `parent` — how a compaction's rebuild nests inside its
-    /// `compact.rebuild` span.
+    /// Runs the re-entrant reverse pass over `log[from..]` into the cleared
+    /// rebuild store covering `universe` nodes. The engine pass becomes a
+    /// `build.reverse_scan` span of `trace` under `parent` — how a
+    /// compaction's rebuild nests inside its `compact.rebuild` span.
+    ///
+    /// Costs O(|log| + n) words plus the merge work of the pass: clearing
+    /// visits only populated summaries, and the store's node slots persist
+    /// from pass to pass (the universe never shrinks).
     pub(crate) fn build_slice_traced<R: Recorder, T: Tracer>(
-        &self,
+        &mut self,
         from: usize,
         universe: usize,
         rec: &R,
         tracer: T,
         trace: TraceId,
         parent: SpanId,
-    ) -> S {
-        let mut store = self.template.clone();
-        store.ensure_nodes(universe);
+    ) -> &S {
+        self.store.clear();
+        self.store.ensure_nodes(universe);
+        debug_assert_eq!(
+            self.store.num_nodes(),
+            universe,
+            "the rebuild store outgrew the universe"
+        );
         ReversePassEngine::run_slice_traced(
             &self.log[from..],
             self.window,
-            store,
+            &mut self.store,
             rec,
             tracer,
             trace,
             parent,
-        )
+        );
+        &self.store
     }
 
     /// Index of the first log entry that survives a compaction at
@@ -425,7 +454,7 @@ impl LayeredExactOracle {
         let mut log = tail;
         let tail_len = log.len();
         log.extend(pending);
-        let delta = DeltaOverlay::from_log(
+        let mut delta = DeltaOverlay::from_log(
             window,
             min_nodes,
             base_frontier,
@@ -527,10 +556,8 @@ impl LayeredExactOracle {
     /// with the tail/pending gauges updated.
     pub fn refresh_recorded<R: Recorder>(&mut self, rec: &R) {
         let t0 = rec.span_start();
-        self.overlay = self
-            .delta
-            .build_overlay_recorded(rec)
-            .freeze(self.delta.window());
+        let window = self.delta.window();
+        self.overlay = self.delta.build_overlay_recorded(rec).freeze(window);
         self.stale = false;
         if R::ENABLED {
             rec.add(Counter::DeltaRefreshes, 1);
@@ -583,10 +610,11 @@ impl LayeredExactOracle {
             rec.record(Hist::CompactionInput, metric_u64(survivors));
         }
         let rb = tracer.begin(trace, sp, TraceEvent::CompactRebuild);
-        let store = self
+        let window = self.delta.window();
+        self.base = self
             .delta
-            .build_slice_traced(cut, universe, rec, tracer, trace, rb);
-        self.base = store.freeze(self.delta.window());
+            .build_slice_traced(cut, universe, rec, tracer, trace, rb)
+            .freeze(window);
         tracer.end(rb, TraceEvent::CompactRebuild, metric_u64(survivors));
         self.delta.roll_base(new_frontier, cut, universe);
         self.generation += 1;
@@ -725,6 +753,14 @@ impl LayeredExactOracle {
     }
 }
 
+impl HeapBytes for LayeredExactOracle {
+    /// Base and overlay images, the delta log and the retained rebuild
+    /// store.
+    fn heap_bytes(&self) -> usize {
+        self.base.heap_bytes() + self.overlay.heap_bytes() + self.delta.heap_bytes()
+    }
+}
+
 impl InfluenceOracle for LayeredExactOracle {
     type Union = NodeBitset;
 
@@ -788,6 +824,12 @@ impl InfluenceOracle for LayeredExactOracle {
 /// Per-node estimates over the register-wise maximum of the two layers —
 /// the same estimator (and summation order) a from-scratch arena
 /// precomputes at freeze time, so reads are bit-identical.
+///
+/// Only rows the log changed are re-estimated. Where one layer's row is
+/// register-wise at most the other's (an overlay row that is all-zero or
+/// holds only channels the base already covers, or a node with no base
+/// channels), the merged row *is* the other layer's row, whose estimate
+/// that arena already stored at freeze time.
 fn merged_individuals(base: &FrozenApproxOracle, overlay: &FrozenApproxOracle) -> Vec<f64> {
     let beta = 1usize << overlay.precision();
     let base_n = InfluenceOracle::num_nodes(base);
@@ -795,13 +837,37 @@ fn merged_individuals(base: &FrozenApproxOracle, overlay: &FrozenApproxOracle) -
     let mut row = vec![0u8; beta];
     let mut out = Vec::with_capacity(n);
     for u in 0..n {
-        row.copy_from_slice(overlay.node_registers(NodeId::from_index(u)));
-        if u < base_n {
-            max_into(&mut row, base.node_registers(NodeId::from_index(u)));
+        let u = NodeId::from_index(u);
+        if u.index() >= base_n {
+            out.push(overlay.individual(u));
+            continue;
         }
-        out.push(estimate_from_registers(&row));
+        let (over_row, base_row) = (overlay.node_registers(u), base.node_registers(u));
+        let (over_above, base_above) = rows_above(over_row, base_row);
+        out.push(if !over_above {
+            base.individual(u)
+        } else if !base_above {
+            overlay.individual(u)
+        } else {
+            row.copy_from_slice(over_row);
+            max_into(&mut row, base_row);
+            estimate_from_registers(&row)
+        });
     }
     out
+}
+
+/// Whether some register of `a` exceeds `b`'s, and whether some register
+/// of `b` exceeds `a`'s: `(false, _)` means `max(a, b) = b`. One fold with
+/// no early exit, so the compiler vectorizes it.
+#[inline]
+// xtask-contract: alloc-free, kernel
+fn rows_above(a: &[u8], b: &[u8]) -> (bool, bool) {
+    a.iter()
+        .zip(b)
+        .fold((false, false), |(a_above, b_above), (&x, &y)| {
+            (a_above | (x > y), b_above | (y > x))
+        })
 }
 
 /// A sketch-based influence oracle layered as `frozen base arena ⊕ delta
@@ -882,7 +948,7 @@ impl LayeredApproxOracle {
         let mut log = tail;
         let tail_len = log.len();
         log.extend(pending);
-        let delta = DeltaOverlay::from_log(
+        let mut delta = DeltaOverlay::from_log(
             window,
             min_nodes,
             base_frontier,
@@ -1033,10 +1099,10 @@ impl LayeredApproxOracle {
             rec.record(Hist::CompactionInput, metric_u64(survivors));
         }
         let rb = tracer.begin(trace, sp, TraceEvent::CompactRebuild);
-        let store = self
+        self.base = self
             .delta
-            .build_slice_traced(cut, universe, rec, tracer, trace, rb);
-        self.base = store.freeze();
+            .build_slice_traced(cut, universe, rec, tracer, trace, rb)
+            .freeze();
         tracer.end(rb, TraceEvent::CompactRebuild, metric_u64(survivors));
         self.delta.roll_base(new_frontier, cut, universe);
         self.generation += 1;
@@ -1141,6 +1207,17 @@ impl LayeredApproxOracle {
         );
         crate::oracle::finish_batch_recorded(&out, t0, rec);
         out
+    }
+}
+
+impl HeapBytes for LayeredApproxOracle {
+    /// Base and overlay images, the merged estimates, the delta log and the
+    /// retained rebuild store.
+    fn heap_bytes(&self) -> usize {
+        self.base.heap_bytes()
+            + self.overlay.heap_bytes()
+            + self.individuals.capacity() * std::mem::size_of::<f64>()
+            + self.delta.heap_bytes()
     }
 }
 

@@ -119,6 +119,18 @@ pub trait SummaryStore {
     /// Grows the node universe so every id below `n` is addressable.
     fn ensure_nodes(&mut self, n: usize);
 
+    /// Empties every node's summary, keeping the node slots and their
+    /// memory, so one store can serve pass after pass (the layered
+    /// oracle's overlay and compaction rebuilds) without reallocating.
+    fn clear(&mut self);
+
+    /// A store with this one's backend parameters (sketch precision,
+    /// recorder) and no node slots — what a copy of a long-lived store
+    /// starts from instead of duplicating its summaries.
+    fn empty_like(&self) -> Self
+    where
+        Self: Sized;
+
     /// `Add(φ(u), (v, t))`: record the direct channel `u → v` ending at `t`.
     fn add(&mut self, u: NodeId, v: NodeId, t: Timestamp);
 
@@ -426,7 +438,7 @@ impl<R: Recorder> HeapBytes for ExactStore<R> {
     }
 }
 
-impl<R: Recorder> SummaryStore for ExactStore<R> {
+impl<R: Recorder + Clone> SummaryStore for ExactStore<R> {
     type Snapshot = ExactSummary;
 
     fn num_nodes(&self) -> usize {
@@ -437,6 +449,16 @@ impl<R: Recorder> SummaryStore for ExactStore<R> {
         if n > self.summaries.len() {
             self.summaries.resize_with(n, Vec::new);
         }
+    }
+
+    fn clear(&mut self) {
+        for summary in &mut self.summaries {
+            summary.clear();
+        }
+    }
+
+    fn empty_like(&self) -> Self {
+        Self::with_nodes_recorded(0, self.recorder.clone())
     }
 
     #[inline]
@@ -610,7 +632,7 @@ impl<R: Recorder> HeapBytes for VhllStore<R> {
     }
 }
 
-impl<R: Recorder> SummaryStore for VhllStore<R> {
+impl<R: Recorder + Clone> SummaryStore for VhllStore<R> {
     type Snapshot = VersionedHll;
 
     fn num_nodes(&self) -> usize {
@@ -623,6 +645,18 @@ impl<R: Recorder> SummaryStore for VhllStore<R> {
             self.sketches
                 .resize_with(n, || VersionedHll::new(precision));
         }
+    }
+
+    /// Walks each sketch's occupancy bitmap, so clearing costs the
+    /// populated cells plus `β / 64` words per node, not `β` cells.
+    fn clear(&mut self) {
+        for sketch in &mut self.sketches {
+            sketch.clear();
+        }
+    }
+
+    fn empty_like(&self) -> Self {
+        Self::with_nodes_recorded(self.precision, 0, self.recorder.clone())
     }
 
     #[inline]
@@ -928,23 +962,25 @@ impl<S: SummaryStore, R: Recorder> ReversePassEngine<S, R> {
     /// # Panics
     ///
     /// Panics if `window < 1`.
-    pub fn run_slice_recorded(ints: &[Interaction], window: Window, store: S, rec: &R) -> S {
+    pub fn run_slice_recorded(ints: &[Interaction], window: Window, mut store: S, rec: &R) -> S {
         Self::run_slice_traced(
             ints,
             window,
-            store,
+            &mut store,
             rec,
             NoopTracer,
             TraceId::NONE,
             SpanId::NONE,
-        )
+        );
+        store
     }
 
-    /// [`run_slice_recorded`](Self::run_slice_recorded) with causal tracing
-    /// — the slice pass becomes one `build.reverse_scan` span of `trace`
-    /// under `parent` (payload: interactions scanned). This is how a
-    /// compaction's rebuild pass shows up inside its `compact.rebuild`
-    /// span.
+    /// [`run_slice_recorded`](Self::run_slice_recorded) over a borrowed
+    /// store, with causal tracing — the slice pass becomes one
+    /// `build.reverse_scan` span of `trace` under `parent` (payload:
+    /// interactions scanned). This is how a compaction's rebuild pass shows
+    /// up inside its `compact.rebuild` span, and how the layered oracle
+    /// reuses one store across passes.
     ///
     /// # Panics
     ///
@@ -953,12 +989,12 @@ impl<S: SummaryStore, R: Recorder> ReversePassEngine<S, R> {
     pub fn run_slice_traced<T: Tracer>(
         ints: &[Interaction],
         window: Window,
-        mut store: S,
+        store: &mut S,
         rec: &R,
         tracer: T,
         trace: TraceId,
         parent: SpanId,
-    ) -> S {
+    ) {
         window.assert_valid();
         debug_assert!(
             ints.windows(2).all(|w| w[0].time <= w[1].time),
@@ -973,11 +1009,10 @@ impl<S: SummaryStore, R: Recorder> ReversePassEngine<S, R> {
             .unwrap_or(0);
         store.ensure_nodes(min_nodes);
         for_each_tie_batch(ints, |batch| {
-            apply_batch_recorded(&mut store, batch, window, rec);
+            apply_batch_recorded(store, batch, window, rec);
         });
         tracer.end(sp, TraceEvent::BuildReverseScan, metric_u64(ints.len()));
         rec.span_end(Span::EngineRun, t0);
-        store
     }
 
     /// The window ω this engine filters merges with.

@@ -330,21 +330,22 @@ impl FrozenExactOracle {
             "frozen arena limited to u32::MAX nodes, got {n}"
         );
         let (offsets_at, entries_at, image_len) = layout::exact_sections(n, total);
-        let mut img = vec![0u8; image_len];
-        write_exact_header(&mut img, window, n, total);
-        put_u32(&mut img, offsets_at, 0);
-        let mut running = 0u32;
-        let mut at = entries_at;
-        for (i, summary) in summaries.iter().enumerate() {
-            // Fits: the sum of all lengths was checked against u32 above.
-            running += summary.len() as u32; // xtask-allow: no-lossy-cast (total checked against u32::MAX)
-            put_u32(&mut img, offsets_at + (i + 1) * 4, running);
-            for &(v, t) in summary {
-                put_entry(&mut img, at, v, t);
-                at += layout::ENTRY_BYTES;
+        let data = ArenaBytes::build(image_len, |img| {
+            write_exact_header(img, window, n, total);
+            put_u32(img, offsets_at, 0);
+            let mut running = 0u32;
+            let mut at = entries_at;
+            for (i, summary) in summaries.iter().enumerate() {
+                // Fits: the sum of all lengths was checked against u32 above.
+                running += summary.len() as u32; // xtask-allow: no-lossy-cast (total checked against u32::MAX)
+                put_u32(img, offsets_at + (i + 1) * 4, running);
+                for &(v, t) in summary {
+                    put_entry(img, at, v, t);
+                    at += layout::ENTRY_BYTES;
+                }
             }
-        }
-        Self::from_image(window, n, total, ArenaBytes::from_vec(img))
+        });
+        Self::from_image(window, n, total, data)
     }
 
     /// Reassembles an arena from decoded CSR parts (legacy-format loads
@@ -373,15 +374,16 @@ impl FrozenExactOracle {
         );
         let total = entries.len();
         let (offsets_at, entries_at, image_len) = layout::exact_sections(n, total);
-        let mut img = vec![0u8; image_len];
-        write_exact_header(&mut img, window, n, total);
-        for (i, &o) in offsets.iter().enumerate() {
-            put_u32(&mut img, offsets_at + i * 4, o);
-        }
-        for (i, &(v, t)) in entries.iter().enumerate() {
-            put_entry(&mut img, entries_at + i * layout::ENTRY_BYTES, v, t);
-        }
-        Self::from_image(window, n, total, ArenaBytes::from_vec(img))
+        let data = ArenaBytes::build(image_len, |img| {
+            write_exact_header(img, window, n, total);
+            for (i, &o) in offsets.iter().enumerate() {
+                put_u32(img, offsets_at + i * 4, o);
+            }
+            for (i, &(v, t)) in entries.iter().enumerate() {
+                put_entry(img, entries_at + i * layout::ENTRY_BYTES, v, t);
+            }
+        });
+        Self::from_image(window, n, total, data)
     }
 
     /// Wraps an already-validated IPFE v2 image: `data` must hold exactly
@@ -682,36 +684,30 @@ pub struct FrozenApproxOracle {
 
 impl FrozenApproxOracle {
     /// Freezes versioned sketches: collapses each to its per-cell maxima
-    /// (exactly [`VersionedHll::to_hyperloglog`]) directly into the flat
-    /// arena, then precomputes every node's estimate.
+    /// (exactly [`VersionedHll::to_hyperloglog`]) directly into the
+    /// arena image, then precomputes every node's estimate.
     pub fn from_vhll(precision: u8, sketches: &[VersionedHll]) -> Self {
-        let beta = 1usize << precision;
-        let mut registers = vec![0u8; sketches.len() * beta];
-        for (sketch, slot) in sketches.iter().zip(registers.chunks_exact_mut(beta)) {
-            sketch.collapse_registers_into(slot);
-        }
-        Self::from_registers_arena(precision, registers)
+        Self::from_rows(precision, sketches.len(), |u, row| {
+            sketches[u].collapse_registers_into(row);
+        })
     }
 
     /// Freezes already-collapsed sketches (the
     /// [`ApproxOracle`](crate::ApproxOracle) representation) by copying
-    /// their registers into the flat arena.
+    /// their registers into the arena image.
     ///
     /// # Panics
     ///
     /// Panics if any sketch's precision differs from `precision`.
     pub fn from_collapsed(precision: u8, sketches: &[HyperLogLog]) -> Self {
-        let beta = 1usize << precision;
-        let mut registers = vec![0u8; sketches.len() * beta];
-        for (sketch, slot) in sketches.iter().zip(registers.chunks_exact_mut(beta)) {
+        Self::from_rows(precision, sketches.len(), |u, row| {
             assert_eq!(
-                sketch.precision(),
+                sketches[u].precision(),
                 precision,
                 "all sketches must share the arena precision"
             );
-            slot.copy_from_slice(sketch.registers());
-        }
-        Self::from_registers_arena(precision, registers)
+            row.copy_from_slice(sketches[u].registers());
+        })
     }
 
     /// Builds the arena from a flat register array (`β` bytes per node):
@@ -729,22 +725,51 @@ impl FrozenApproxOracle {
             registers.len().is_multiple_of(beta),
             "register arena must hold whole β-sized node slots"
         );
-        let n = registers.len() / beta;
+        Self::from_rows(precision, registers.len() / beta, |u, row| {
+            row.copy_from_slice(&registers[u * beta..(u + 1) * beta]);
+        })
+    }
+
+    /// Writes the IPFA v3 image of an `n`-node arena in place: `fill_row`
+    /// writes node `u`'s registers into its (zeroed) `β`-byte row, then the
+    /// transpose and the per-node estimates are derived from the register
+    /// section.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` exceeds `u32::MAX`.
+    fn from_rows(precision: u8, n: usize, mut fill_row: impl FnMut(usize, &mut [u8])) -> Self {
+        let beta = 1usize << precision;
         assert!(
             u32::try_from(n).is_ok(),
             "frozen arena limited to u32::MAX nodes, got {n}"
         );
-        let transposed = transpose_registers(precision, &registers);
         let (regs_at, trans_at, indiv_at, image_len) = layout::approx_sections(n, beta);
-        let mut img = vec![0u8; image_len];
-        write_approx_header(&mut img, precision, n);
-        img[regs_at..regs_at + n * beta].copy_from_slice(&registers);
-        img[trans_at..trans_at + n * beta].copy_from_slice(&transposed);
-        for (i, row) in registers.chunks_exact(beta).enumerate() {
-            let at = indiv_at + i * 8;
-            img[at..at + 8].copy_from_slice(&estimate_from_registers(row).to_le_bytes());
-        }
-        Self::from_image(precision, n, ArenaBytes::from_vec(img))
+        let data = ArenaBytes::build(image_len, |img| {
+            write_approx_header(img, precision, n);
+            let (head, tail) = img.split_at_mut(trans_at);
+            let registers = &mut head[regs_at..regs_at + n * beta];
+            for (u, row) in registers.chunks_exact_mut(beta).enumerate() {
+                fill_row(u, row);
+            }
+            let (transposed, individuals) = tail.split_at_mut(indiv_at - trans_at);
+            transpose_registers(precision, registers, &mut transposed[..n * beta]);
+            // Rows the build never touched are all-zero and share one
+            // estimate (a layered overlay leaves all but a few rows empty).
+            let empty = estimate_from_registers(&vec![0u8; beta]);
+            for (row, slot) in registers
+                .chunks_exact(beta)
+                .zip(individuals.chunks_exact_mut(8))
+            {
+                let est = if is_zero_row(row) {
+                    empty
+                } else {
+                    estimate_from_registers(row)
+                };
+                slot.copy_from_slice(&est.to_le_bytes());
+            }
+        });
+        Self::from_image(precision, n, data)
     }
 
     /// Wraps an already-validated IPFA v3 image: `data` must hold exactly
@@ -1235,19 +1260,19 @@ impl InfluenceOracle for FrozenApproxOracle {
     }
 }
 
-/// Rewrites a node-major register arena (`β` bytes per node) into the
-/// tile-major layout the frozen query kernels stream: for tile `t` of
+/// Writes a node-major register arena (`β` bytes per node) into `out` in
+/// the tile-major layout the frozen query kernels stream: for tile `t` of
 /// `step = min(TILE, β)` registers, node `u`'s registers
-/// `t·step .. (t+1)·step` live at `transposed[(t·n + u)·step ..][..step]`.
+/// `t·step .. (t+1)·step` live at `out[(t·n + u)·step ..][..step]`.
 /// A multi-seed union then reads one contiguous `step`-byte chunk per seed
 /// per tile — chunks of id-adjacent seeds share cache lines — instead of
 /// striding `β` bytes apart through the node-major arena.
-pub(crate) fn transpose_registers(precision: u8, registers: &[u8]) -> Vec<u8> {
+pub(crate) fn transpose_registers(precision: u8, registers: &[u8], out: &mut [u8]) {
     let beta = 1usize << precision;
     let step = TILE.min(beta);
     let tiles = beta / step;
     let n = registers.len() / beta;
-    let mut out = vec![0u8; registers.len()];
+    assert_eq!(out.len(), registers.len(), "transpose target size");
     for u in 0..n {
         for t in 0..tiles {
             let src = u * beta + t * step;
@@ -1255,7 +1280,14 @@ pub(crate) fn transpose_registers(precision: u8, registers: &[u8]) -> Vec<u8> {
             out[dst..dst + step].copy_from_slice(&registers[src..src + step]);
         }
     }
-    out
+}
+
+/// Whether a register row is all zero — a node no channel reached. An OR
+/// fold with no early exit, so the compiler vectorizes it.
+#[inline]
+// xtask-contract: alloc-free, kernel
+fn is_zero_row(row: &[u8]) -> bool {
+    row.iter().fold(0u8, |acc, &r| acc | r) == 0
 }
 
 /// Publishes a frozen arena's size to the `frozen.bytes` gauge — shared by

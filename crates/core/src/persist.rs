@@ -462,7 +462,9 @@ impl FrozenApproxOracle {
         if version == 2 {
             let mut transposed = vec![0u8; n * beta];
             r.read_exact(&mut transposed)?;
-            if transposed != crate::frozen::transpose_registers(precision, &registers) {
+            let mut expected = vec![0u8; n * beta];
+            crate::frozen::transpose_registers(precision, &registers, &mut expected);
+            if transposed != expected {
                 return Err(CodecError::Corrupt(
                     "transposed section does not match the node-major registers",
                 ));

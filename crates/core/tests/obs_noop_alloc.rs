@@ -7,16 +7,31 @@
 
 use infprop_core::obs::{Counter, Gauge, Hist, NoopRecorder, Recorder, Span};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-/// System allocator with an allocation counter bolted on.
+/// System allocator with a per-thread allocation counter bolted on. The
+/// count is per thread because the test harness runs sibling tests on
+/// parallel threads, and their allocations must not be charged here.
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Counts one allocation on the calling thread. `try_with` because the
+/// allocator also runs while thread-locals are being torn down.
+fn count_allocation() {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations made so far by the calling thread.
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc(layout)
     }
 
@@ -25,7 +40,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -46,7 +61,7 @@ fn noop_recorder_calls_never_allocate() {
     // Warm up once so any lazy runtime setup (test harness buffers etc.)
     // cannot be misattributed to the recorder.
     rec.add(Counter::EngineInteractions, 1);
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     for i in 0..100_000u64 {
         rec.add(Counter::EngineInteractions, i);
         rec.add(Counter::ExactMergeCalls, 1);
@@ -55,7 +70,7 @@ fn noop_recorder_calls_never_allocate() {
         let start = rec.span_start();
         rec.span_end(Span::EngineRun, start);
     }
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = allocations();
     assert_eq!(
         after - before,
         0,

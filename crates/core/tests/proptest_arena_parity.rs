@@ -16,6 +16,7 @@ use infprop_temporal_graph::{InteractionNetwork, NodeId, Window};
 use proptest::prelude::*;
 use std::fs;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
@@ -34,13 +35,21 @@ fn seed_sets() -> impl Strategy<Value = Vec<Vec<NodeId>>> {
     )
 }
 
-/// A per-test scratch directory under the system tmpdir, removed on drop.
+/// A per-case scratch directory under the system tmpdir, removed on drop.
 struct Scratch(PathBuf);
+
+/// Distinguishes the scratch directories of one process: tests run on
+/// parallel threads, and two cases sharing a directory would let one
+/// case's `Drop` delete the other's files mid-test.
+static NEXT_SCRATCH: AtomicUsize = AtomicUsize::new(0);
 
 impl Scratch {
     fn new(tag: &str) -> Scratch {
-        let dir =
-            std::env::temp_dir().join(format!("infprop-arena-parity-{}-{tag}", std::process::id()));
+        let id = NEXT_SCRATCH.fetch_add(1, Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!(
+            "infprop-arena-parity-{}-{id}-{tag}",
+            std::process::id()
+        ));
         fs::create_dir_all(&dir).unwrap();
         Scratch(dir)
     }

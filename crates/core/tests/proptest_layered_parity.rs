@@ -4,11 +4,13 @@
 //! random point into `frozen base + forward appends` must answer every
 //! query **bit-identically** to a from-scratch build over the full
 //! history, serially and at 1, 2, and 8 threads, before and after
-//! LSM-style compaction.
+//! LSM-style compaction — including over long append → refresh → query →
+//! compact sequences on one oracle, whose every rebuild reuses one store.
 
+use infprop_core::obs::HeapBytes;
 use infprop_core::{
-    ApproxIrs, ExactIrs, ExactStore, InfluenceOracle, LayeredApproxOracle, LayeredExactOracle,
-    ReversePassEngine, SummaryStore, VhllStore,
+    ApproxIrs, ExactIrs, ExactStore, FrozenApproxOracle, FrozenExactOracle, InfluenceOracle,
+    LayeredApproxOracle, LayeredExactOracle, ReversePassEngine, SummaryStore, VhllStore,
 };
 use infprop_temporal_graph::{Interaction, InteractionNetwork, NodeId, Timestamp, Window};
 use proptest::prelude::*;
@@ -109,6 +111,71 @@ fn clamp_seeds(seeds: Vec<Vec<NodeId>>, n: usize) -> Vec<Vec<NodeId>> {
         .into_iter()
         .map(|s| s.into_iter().filter(|v| v.index() < n).collect())
         .collect()
+}
+
+/// One step of a long maintenance run: a batch of `(src, dst, time gap)`
+/// appends, then whether to hand the run over to a clone and whether to
+/// compact.
+type Step = (Vec<(u32, u32, i64)>, bool, bool);
+
+/// Steps of a long maintenance run. Appended node ids reach past the base
+/// networks' 16, growing the universe mid-run; each time moves 0–3 past
+/// the previous one, so ties recur.
+fn steps() -> impl Strategy<Value = Vec<Step>> {
+    prop::collection::vec(
+        (
+            prop::collection::vec((0u32..24, 0u32..24, 0i64..4), 0..10),
+            any::<bool>(),
+            any::<bool>(),
+        ),
+        1..10,
+    )
+}
+
+/// From-scratch exact arena over `history` with `universe` node slots.
+fn scratch_exact(history: &[Interaction], universe: usize, w: Window) -> FrozenExactOracle {
+    ReversePassEngine::run_slice(history, w, ExactStore::with_nodes(universe)).freeze(w)
+}
+
+/// From-scratch vHLL arena over `history` with `universe` node slots.
+fn scratch_approx(history: &[Interaction], universe: usize, w: Window) -> FrozenApproxOracle {
+    ReversePassEngine::run_slice(history, w, VhllStore::with_nodes(PRECISION, universe)).freeze()
+}
+
+/// A refreshed exact oracle against fresh stores: its overlay equals a
+/// fresh-store build of its own log, and its answers and summaries equal a
+/// from-scratch arena over the history it represents.
+fn check_exact(
+    layered: &LayeredExactOracle,
+    history: &[Interaction],
+    universe: usize,
+    seeds: &[Vec<NodeId>],
+) -> Result<(), TestCaseError> {
+    let w = layered.window();
+    let overlay = scratch_exact(layered.delta().log(), universe, w);
+    prop_assert_eq!(layered.overlay().offsets(), overlay.offsets());
+    prop_assert_eq!(layered.overlay().entries(), overlay.entries());
+    let reference = scratch_exact(history, universe, w);
+    for u in 0..universe {
+        let u = NodeId::from_index(u);
+        prop_assert_eq!(layered.summary(u), reference.summary(u).to_vec());
+    }
+    assert_query_parity(layered, &reference, seeds)
+}
+
+/// The vHLL counterpart of [`check_exact`]: overlay registers against a
+/// fresh-store build, merged `individuals` and answers against a
+/// from-scratch arena.
+fn check_approx(
+    layered: &LayeredApproxOracle,
+    history: &[Interaction],
+    universe: usize,
+    seeds: &[Vec<NodeId>],
+) -> Result<(), TestCaseError> {
+    let w = layered.window();
+    let overlay = scratch_approx(layered.delta().log(), universe, w);
+    prop_assert_eq!(layered.overlay().registers(), overlay.registers());
+    assert_query_parity(layered, &scratch_approx(history, universe, w), seeds)
 }
 
 proptest! {
@@ -218,5 +285,66 @@ proptest! {
         prop_assert_eq!(layered.delta().tail(), expected.as_slice());
         prop_assert_eq!(layered.frontier(), Some(ahead.time));
         prop_assert_eq!(layered.delta().base_frontier(), Some(ahead.time));
+    }
+
+    /// One oracle per backend runs a long append → refresh → query →
+    /// compact sequence, every rebuild going through the same reused store.
+    /// After each refresh and each compaction both answer bit-identically
+    /// to from-scratch builds of the history they represent (the whole
+    /// history until the first compaction, then the survivors plus later
+    /// appends). Appends reach node ids past the store's size, and runs
+    /// hand over mid-stream to a clone, which carries no store until its
+    /// next refresh and must then answer identically.
+    #[test]
+    fn reused_store_matches_scratch_through_long_runs(
+        net in networks(),
+        steps in steps(),
+        seeds in seed_sets(),
+        w in 1i64..40,
+    ) {
+        let w = Window(w);
+        let seeds: Vec<Vec<NodeId>> = seeds
+            .into_iter()
+            .map(|s| s.into_iter().map(|v| NodeId(v.0 + v.0 / 2)).collect())
+            .collect();
+        let mut exact = LayeredExactOracle::from_network(&net, w);
+        let mut approx = LayeredApproxOracle::from_network_with_precision(&net, w, PRECISION);
+        let mut history = net.interactions().to_vec();
+        let mut universe = net.num_nodes();
+        let mut time = exact.frontier().map_or(0, |t| t.get());
+        for (batch, hand_over, compact) in steps {
+            for (src, dst, gap) in batch {
+                time += gap;
+                let i = Interaction::from_raw(src, dst, time);
+                exact.append(i).expect("appends move forward in time");
+                approx.append(i).expect("appends move forward in time");
+                history.push(i);
+                universe = universe.max(src.max(dst) as usize + 1);
+            }
+            let live = clamp_seeds(seeds.clone(), universe);
+            if hand_over {
+                let twins = (exact.clone(), approx.clone());
+                // The clones own their logs and no store.
+                prop_assert_eq!(twins.0.delta().heap_bytes(), size_of_val(twins.0.delta().log()));
+                prop_assert_eq!(twins.1.delta().heap_bytes(), size_of_val(twins.1.delta().log()));
+                exact.refresh();
+                approx.refresh();
+                check_exact(&exact, &history, universe, &live)?;
+                check_approx(&approx, &history, universe, &live)?;
+                (exact, approx) = twins;
+            }
+            exact.refresh();
+            approx.refresh();
+            check_exact(&exact, &history, universe, &live)?;
+            check_approx(&approx, &history, universe, &live)?;
+            if compact {
+                let frontier = Timestamp(time);
+                history.retain(|i| frontier.delta(i.time) < w.get());
+                exact.compact();
+                approx.compact();
+                check_exact(&exact, &history, universe, &live)?;
+                check_approx(&approx, &history, universe, &live)?;
+            }
+        }
     }
 }

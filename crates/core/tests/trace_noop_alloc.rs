@@ -7,18 +7,34 @@
 //! allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use infprop_core::trace::{NoopTracer, SpanId, TraceEvent, TraceId, Tracer};
 
-/// Forwarding allocator that counts every allocation (and reallocation).
+/// Forwarding allocator that counts every allocation (and reallocation) on
+/// the thread that makes it. The count is per thread because the test
+/// harness runs sibling tests on parallel threads, and their allocations
+/// must not be charged to the tracer.
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Counts one allocation on the calling thread. `try_with` because the
+/// allocator also runs while thread-locals are being torn down.
+fn count_allocation() {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations made so far by the calling thread.
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        count_allocation();
         System.alloc(layout)
     }
 
@@ -27,7 +43,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -52,7 +68,7 @@ fn noop_tracer_hot_loop_never_allocates() {
     let sp = tracer.begin(TraceId(1), SpanId::NONE, TraceEvent::QueryBatch);
     tracer.end(sp, TraceEvent::QueryBatch, 0);
 
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     for i in 0..100_000u64 {
         let trace = TraceId(tracer.alloc_traces(2));
         let batch = tracer.begin(trace, SpanId::NONE, TraceEvent::QueryBatch);
@@ -64,7 +80,7 @@ fn noop_tracer_hot_loop_never_allocates() {
         assert_eq!(batch, SpanId::NONE);
         assert_eq!(el, SpanId::NONE);
     }
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = allocations();
     assert_eq!(
         after - before,
         0,

@@ -414,6 +414,34 @@ impl VersionedHll {
         occupied[idx / 64] |= 1 << (idx % 64);
     }
 
+    /// Calls `f` with the index of every non-empty cell, in ascending order,
+    /// by walking the set bits of the occupancy bitmap.
+    #[inline]
+    // xtask-contract: alloc-free
+    fn for_each_occupied(occupied: &[u64], mut f: impl FnMut(usize)) {
+        for (wi, &word) in occupied.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                f(wi * 64 + bits.trailing_zeros() as usize); // xtask-allow: no-lossy-cast (bit index < 64 fits usize)
+                bits &= bits - 1;
+            }
+        }
+    }
+
+    /// Empties every cell, leaving a sketch equal to
+    /// [`VersionedHll::new`] at the same precision. Only the occupied cells
+    /// are visited, so clearing a sparse sketch costs its populated cells
+    /// plus `β / 64` bitmap words, and the cell array itself is kept for
+    /// reuse.
+    // xtask-contract: alloc-free
+    pub fn clear(&mut self) {
+        let VersionedHll {
+            cells, occupied, ..
+        } = self;
+        Self::for_each_occupied(occupied, |idx| cells[idx] = VersionList::new());
+        occupied.fill(0);
+    }
+
     /// The precision `k` (so `β = 2^k`).
     #[inline]
     pub fn precision(&self) -> u8 {
@@ -548,71 +576,65 @@ impl VersionedHll {
         // Walk only `other`'s occupied cells: a sketch populates one cell per
         // distinct hash prefix observed, so most of the β cells are empty and
         // never need to be touched.
-        for (wi, &word) in other.occupied.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                let idx = wi * 64 + bits.trailing_zeros() as usize; // xtask-allow: no-lossy-cast (bit index < 64 fits usize)
-                bits &= bits - 1;
-                let theirs = other.cells[idx].as_slice();
-                // Times are increasing, so the in-window pairs form a prefix.
-                let take = theirs.partition_point(|e| e.time < limit);
-                if take == 0 {
-                    continue;
-                }
-                let b = &theirs[..take];
-                let mine = &mut cells[idx];
-                let a = mine.as_slice();
-                if a.is_empty() {
-                    // b is already a valid dominance chain: copy it wholesale.
-                    if O::ENABLED {
-                        obs.entries_scanned(u64::try_from(b.len()).unwrap_or(u64::MAX));
-                        if b.len() > VersionList::INLINE_CAP {
-                            obs.spills(1);
-                        }
-                    }
-                    mine.replace_from(b);
-                    Self::mark_occupied(occupied, idx);
-                    continue;
-                }
-                scratch.clear();
-                let (mut i, mut j) = (0usize, 0usize);
-                let mut max_rho = 0u8;
-                while i < a.len() || j < b.len() {
-                    // Next entry in (time asc, ρ desc) order: at equal times
-                    // the larger ρ goes first so the smaller is seen as
-                    // dominated.
-                    let from_a = j >= b.len()
-                        || (i < a.len()
-                            && (a[i].time < b[j].time
-                                || (a[i].time == b[j].time && a[i].rho >= b[j].rho)));
-                    let e = if from_a {
-                        i += 1;
-                        a[i - 1]
-                    } else {
-                        j += 1;
-                        b[j - 1]
-                    };
-                    if e.rho > max_rho {
-                        max_rho = e.rho;
-                        scratch.push(e);
-                    }
-                }
+        Self::for_each_occupied(&other.occupied, |idx| {
+            let theirs = other.cells[idx].as_slice();
+            // Times are increasing, so the in-window pairs form a prefix.
+            let take = theirs.partition_point(|e| e.time < limit);
+            if take == 0 {
+                return;
+            }
+            let b = &theirs[..take];
+            let mine = &mut cells[idx];
+            let a = mine.as_slice();
+            if a.is_empty() {
+                // b is already a valid dominance chain: copy it wholesale.
                 if O::ENABLED {
-                    let scanned = a.len() + b.len();
-                    obs.entries_scanned(u64::try_from(scanned).unwrap_or(u64::MAX));
-                    let pruned = scanned.saturating_sub(scratch.len());
-                    if pruned > 0 {
-                        obs.entries_pruned(u64::try_from(pruned).unwrap_or(u64::MAX));
-                    }
-                }
-                if scratch.as_slice() != a {
-                    if O::ENABLED && !mine.is_spilled() && scratch.len() > VersionList::INLINE_CAP {
+                    obs.entries_scanned(u64::try_from(b.len()).unwrap_or(u64::MAX));
+                    if b.len() > VersionList::INLINE_CAP {
                         obs.spills(1);
                     }
-                    mine.replace_from(scratch);
+                }
+                mine.replace_from(b);
+                Self::mark_occupied(occupied, idx);
+                return;
+            }
+            scratch.clear();
+            let (mut i, mut j) = (0usize, 0usize);
+            let mut max_rho = 0u8;
+            while i < a.len() || j < b.len() {
+                // Next entry in (time asc, ρ desc) order: at equal times the
+                // larger ρ goes first so the smaller is seen as dominated.
+                let from_a = j >= b.len()
+                    || (i < a.len()
+                        && (a[i].time < b[j].time
+                            || (a[i].time == b[j].time && a[i].rho >= b[j].rho)));
+                let e = if from_a {
+                    i += 1;
+                    a[i - 1]
+                } else {
+                    j += 1;
+                    b[j - 1]
+                };
+                if e.rho > max_rho {
+                    max_rho = e.rho;
+                    scratch.push(e);
                 }
             }
-        }
+            if O::ENABLED {
+                let scanned = a.len() + b.len();
+                obs.entries_scanned(u64::try_from(scanned).unwrap_or(u64::MAX));
+                let pruned = scanned.saturating_sub(scratch.len());
+                if pruned > 0 {
+                    obs.entries_pruned(u64::try_from(pruned).unwrap_or(u64::MAX));
+                }
+            }
+            if scratch.as_slice() != a {
+                if O::ENABLED && !mine.is_spilled() && scratch.len() > VersionList::INLINE_CAP {
+                    obs.spills(1);
+                }
+                mine.replace_from(scratch);
+            }
+        });
     }
 
     /// Unfiltered union of two version sketches (all pairs merged under
@@ -626,12 +648,7 @@ impl VersionedHll {
     /// maximum ρ is the **last** list entry (the invariant makes it so), and
     /// the plain HLL estimator does the rest.
     pub fn estimate(&self) -> f64 {
-        let registers: Vec<u8> = self
-            .cells
-            .iter()
-            .map(|c| c.as_slice().last().map_or(0, |e| e.rho))
-            .collect();
-        estimate_from_registers(&registers)
+        self.to_hyperloglog().estimate()
     }
 
     /// Sliding-window estimate: the number of distinct items observed within
@@ -671,31 +688,32 @@ impl VersionedHll {
     /// estimates the same cardinality as [`estimate`](Self::estimate) and can
     /// be unioned in `O(β)` — the influence-oracle fast path (paper §4.1).
     pub fn to_hyperloglog(&self) -> HyperLogLog {
-        HyperLogLog::from_registers(
-            self.cells
-                .iter()
-                .map(|c| c.as_slice().last().map_or(0, |e| e.rho))
-                .collect(),
-        )
+        let mut registers = vec![0u8; self.cells.len()];
+        self.collapse_registers_into(&mut registers);
+        HyperLogLog::from_registers(registers)
     }
 
     /// Writes the per-cell maxima of [`to_hyperloglog`](Self::to_hyperloglog)
     /// into a caller-provided slice instead of allocating — the export used
     /// when freezing a store of versioned sketches into one flat register
-    /// arena (`β` bytes per node, no per-node `Vec`).
+    /// arena (`β` bytes per node, no per-node `Vec`). The slice is zeroed and
+    /// then only the occupied cells are written, so a sparse sketch costs
+    /// its populated cells rather than a read of all `β` version lists.
     ///
     /// # Panics
     ///
     /// Panics if `out.len()` differs from the cell count `2^precision`.
+    // xtask-contract: alloc-free
     pub fn collapse_registers_into(&self, out: &mut [u8]) {
         assert_eq!(
             out.len(),
             self.cells.len(),
             "collapse target length must equal the cell count"
         );
-        for (slot, cell) in out.iter_mut().zip(&self.cells) {
-            *slot = cell.as_slice().last().map_or(0, |e| e.rho);
-        }
+        out.fill(0);
+        Self::for_each_occupied(&self.occupied, |idx| {
+            out[idx] = self.cells[idx].as_slice().last().map_or(0, |e| e.rho);
+        });
     }
 
     /// Streaming-window maintenance (paper §3.2.2: "periodically entries
@@ -725,12 +743,14 @@ impl VersionedHll {
 
     /// Total number of version pairs across all cells.
     pub fn total_entries(&self) -> usize {
-        self.cells.iter().map(VersionList::len).sum()
+        let mut total = 0;
+        Self::for_each_occupied(&self.occupied, |idx| total += self.cells[idx].len());
+        total
     }
 
     /// Whether no item was ever retained.
     pub fn is_empty(&self) -> bool {
-        self.cells.iter().all(VersionList::is_empty)
+        self.occupied.iter().all(|&w| w == 0)
     }
 
     /// Heap bytes held by the sketch (cell headers + spilled version lists),
@@ -1282,5 +1302,71 @@ mod tests {
         let u = VersionedHll::from_cells(4, raw).unwrap();
         check(&u);
         assert_eq!(u.total_entries(), 1);
+    }
+
+    /// Deterministic random sketches: a mix of adds over a wide time range
+    /// (long dominance chains, some spilled), merges, and prunes to empty.
+    fn random_sketch(precision: u8, items: usize, seed: u64) -> VersionedHll {
+        let mut x = seed | 1;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let mut s = VersionedHll::new(precision);
+        for _ in 0..items {
+            let r = next();
+            s.add_u64(r, (r % 500) as i64 - 250);
+        }
+        if seed.is_multiple_of(3) {
+            s.prune_outside(-250, 100);
+        }
+        s
+    }
+
+    #[test]
+    fn clear_of_spilled_sketch_equals_new() {
+        for precision in [4u8, 6, 9] {
+            let mut s = random_sketch(precision, 3_000, 7);
+            // A long chain in cell 1 forces a spilled list.
+            for i in 0..8u8 {
+                s.insert_raw(1, 50 + i, -1_000 + i64::from(i));
+            }
+            assert!(s.spilled_cells() > 0);
+            s.clear();
+            assert_eq!(s, VersionedHll::new(precision));
+            assert!(s.is_empty());
+            assert_eq!(s.total_entries(), 0);
+            // A cleared sketch is reusable: refilling it equals a fresh fill.
+            let mut fresh = VersionedHll::new(precision);
+            for v in 0..200u64 {
+                s.add_u64(v, (v % 17) as i64);
+                fresh.add_u64(v, (v % 17) as i64);
+            }
+            assert_eq!(s, fresh);
+        }
+    }
+
+    #[test]
+    fn occupancy_walk_matches_full_cell_scan() {
+        for (round, precision) in [4u8, 5, 8, 9, 12].into_iter().cycle().take(30).enumerate() {
+            let items = [0, 1, 10, 300, 5_000][round % 5];
+            let s = random_sketch(precision, items, round as u64 * 0x9e37_79b9 + 3);
+            let scanned: Vec<u8> = s
+                .cells
+                .iter()
+                .map(|c| c.as_slice().last().map_or(0, |e| e.rho))
+                .collect();
+            // A dirty target row must come back as exactly the scan.
+            let mut collapsed = vec![0xAB; s.num_cells()];
+            s.collapse_registers_into(&mut collapsed);
+            assert_eq!(collapsed, scanned, "round {round}");
+            assert_eq!(
+                s.total_entries(),
+                s.cells.iter().map(VersionList::len).sum::<usize>()
+            );
+            assert_eq!(s.is_empty(), s.cells.iter().all(VersionList::is_empty));
+        }
     }
 }
