@@ -1005,6 +1005,21 @@ fn serve_answers_byte_exact_and_drains_cleanly() {
         assert_eq!(g.to_bits(), e.to_bits());
     }
 
+    // Neither does a client that claims a maximal frame and hangs up.
+    {
+        use std::io::Write;
+        let mut hostile = std::os::unix::net::UnixStream::connect(&sock).unwrap();
+        hostile
+            .write_all(&infprop_core::serve::MAX_FRAME_LEN.to_le_bytes())
+            .unwrap();
+    }
+    let mut third = Client::connect_unix(&sock).expect("server survives a hostile header");
+    let after = third.influence_many(0, &seed_sets).unwrap();
+    for (g, e) in after.iter().zip(&expected) {
+        assert_eq!(g.to_bits(), e.to_bits());
+    }
+    drop(third);
+
     // bench-serve drives the same server and asserts bit-identity itself.
     let bench = run(&[
         "bench-serve",

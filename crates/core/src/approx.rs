@@ -146,9 +146,15 @@ impl ApproxIrs {
         self.sketches.iter().map(VersionedHll::total_entries).sum()
     }
 
-    /// Heap bytes held by all sketches (Table 4 accounting).
+    /// Heap bytes held by all sketches (Table 4 accounting): the per-node
+    /// sketch headers plus what each sketch owns.
     pub fn heap_bytes(&self) -> usize {
-        self.sketches.iter().map(VersionedHll::heap_bytes).sum()
+        self.sketches.capacity() * std::mem::size_of::<VersionedHll>()
+            + self
+                .sketches
+                .iter()
+                .map(VersionedHll::heap_bytes)
+                .sum::<usize>()
     }
 
     /// Wraps the collapsed sketches in an approximate

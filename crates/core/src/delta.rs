@@ -137,16 +137,16 @@ pub struct DeltaOverlay<S> {
     /// The one store every overlay and compaction rebuild runs through:
     /// cleared before each pass and only ever grown (with `ensure_nodes`),
     /// so a pass costs the log and the rows it touches rather than a fresh
-    /// `β`-cell sketch per node. Only its empty shape matters between
-    /// passes, so [`Clone`] does not copy it.
+    /// summary per node. Only its empty shape matters between passes, so
+    /// [`Clone`] does not copy it.
     store: S,
 }
 
 /// Copies the log and bounds but not the rebuild store, whose contents are
 /// scratch between passes: the copy starts from an empty store with the
 /// same backend parameters and allocates its node slots on its first
-/// rebuild. Copying the store would double a layered vHLL oracle's memory
-/// (~28 KB per node at `β = 512`) for no change in any answer.
+/// rebuild. Copying the store would grow a layered oracle's memory by the
+/// store's retained summaries for no change in any answer.
 impl<S: SummaryStore> Clone for DeltaOverlay<S> {
     fn clone(&self) -> Self {
         DeltaOverlay {

@@ -132,10 +132,27 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     w.flush()
 }
 
+/// Bytes a frame reader allocates before any payload byte has arrived.
+/// A larger frame doubles its buffer each time the bytes so far have
+/// arrived, so a length prefix alone (up to [`MAX_FRAME_LEN`]) cannot make
+/// the reader allocate more than this plus twice what the peer sent.
+const FRAME_PREALLOC: usize = 64 << 10;
+
 /// Reads one length-prefixed frame. Returns `Ok(None)` on a clean EOF at a
 /// frame boundary (the peer closed between frames); EOF mid-frame is an
 /// error.
 pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
+    read_frame_retrying(r, |_| false)
+}
+
+/// [`read_frame`], also retrying a read that fails with a kind `retry`
+/// accepts once the frame's first byte has arrived; before that the error
+/// is returned, so a reader with a timeout can tell "no frame yet" apart.
+/// `Interrupted` is always retried.
+fn read_frame_retrying(
+    r: &mut impl Read,
+    retry: impl Fn(io::ErrorKind) -> bool,
+) -> io::Result<Option<Vec<u8>>> {
     let mut len = [0u8; 4];
     let mut got = 0;
     while got < 4 {
@@ -148,7 +165,7 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
                 ))
             }
             Ok(n) => got += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) if e.kind() == io::ErrorKind::Interrupted || (got > 0 && retry(e.kind())) => {}
             Err(e) => return Err(e),
         }
     }
@@ -159,8 +176,25 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
             "frame length exceeds MAX_FRAME_LEN",
         ));
     }
-    let mut payload = vec![0u8; len as usize]; // xtask-allow: no-lossy-cast (u32 fits usize)
-    r.read_exact(&mut payload)?;
+    let len = len as usize; // xtask-allow: no-lossy-cast (u32 fits usize)
+    let mut payload = vec![0u8; len.min(FRAME_PREALLOC)];
+    let mut at = 0;
+    while at < len {
+        if at == payload.len() {
+            payload.resize(len.min(2 * at), 0);
+        }
+        match r.read(&mut payload[at..]) {
+            Ok(0) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::UnexpectedEof,
+                    "eof inside frame payload",
+                ))
+            }
+            Ok(n) => at += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted || retry(e.kind()) => {}
+            Err(e) => return Err(e),
+        }
+    }
     Ok(Some(payload))
 }
 
@@ -1022,45 +1056,15 @@ enum Timeout {
 /// *inside* a frame keeps reading — the header already committed the peer
 /// to sending the rest.
 fn read_frame_timeout(conn: &mut Conn) -> Result<Option<Vec<u8>>, Timeout> {
-    let mut len = [0u8; 4];
-    let mut got = 0;
-    while got < 4 {
-        match conn.read(&mut len[got..]) {
-            Ok(0) if got == 0 => return Ok(None),
-            Ok(0) => return Err(Timeout::Fatal),
-            Ok(n) => got += n,
-            Err(e)
-                if got == 0
-                    && (e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut) =>
-            {
-                return Err(Timeout::Idle)
-            }
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock
-                    || e.kind() == io::ErrorKind::TimedOut
-                    || e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => return Err(Timeout::Fatal),
+    let is_timeout =
+        |kind: io::ErrorKind| kind == io::ErrorKind::WouldBlock || kind == io::ErrorKind::TimedOut;
+    read_frame_retrying(conn, is_timeout).map_err(|e| {
+        if is_timeout(e.kind()) {
+            Timeout::Idle
+        } else {
+            Timeout::Fatal
         }
-    }
-    let len = u32::from_le_bytes(len);
-    if len > MAX_FRAME_LEN {
-        return Err(Timeout::Fatal);
-    }
-    let mut payload = vec![0u8; len as usize]; // xtask-allow: no-lossy-cast (u32 fits usize)
-    let mut at = 0;
-    while at < payload.len() {
-        match conn.read(&mut payload[at..]) {
-            Ok(0) => return Err(Timeout::Fatal),
-            Ok(n) => at += n,
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock
-                    || e.kind() == io::ErrorKind::TimedOut
-                    || e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => return Err(Timeout::Fatal),
-        }
-    }
-    Ok(Some(payload))
+    })
 }
 
 // ---------------------------------------------------------------------------

@@ -28,6 +28,12 @@
 //!   Kumar et al., ECML-PKDD 2015, that inspired the sketch),
 //! * [`to_hyperloglog`](VersionedHll::to_hyperloglog) — collapse to a plain
 //!   HLL of per-cell maxima, enabling O(β) influence-oracle unions.
+//!
+//! Only occupied cells are stored: their version lists are packed in cell
+//! order, and an occupancy bitmap of `β` bits maps a cell to its slot. A
+//! sketch therefore costs its populated cells plus `β / 8` bytes, not `β`
+//! version lists — most sketches of a real network populate a few percent
+//! of their cells.
 
 use crate::hash;
 use crate::hyperloglog::split_hash;
@@ -101,6 +107,19 @@ pub enum SketchInvariantError {
         /// What is wrong with its version list.
         error: EntryError,
     },
+    /// The occupancy bitmap marks a different number of cells than there
+    /// are stored version lists.
+    Occupancy {
+        /// Set bits in the occupancy bitmap.
+        marked: usize,
+        /// Version lists stored.
+        lists: usize,
+    },
+    /// A cell marked occupied holds no entries.
+    EmptyCell {
+        /// Index of the empty cell.
+        cell: usize,
+    },
 }
 
 impl fmt::Display for SketchInvariantError {
@@ -115,6 +134,13 @@ impl fmt::Display for SketchInvariantError {
             }
             SketchInvariantError::Cell { cell, error } => {
                 write!(f, "cell {cell}: {error}")
+            }
+            SketchInvariantError::Occupancy { marked, lists } => write!(
+                f,
+                "occupancy bitmap marks {marked} cells but {lists} version lists are stored"
+            ),
+            SketchInvariantError::EmptyCell { cell } => {
+                write!(f, "cell {cell} is marked occupied but holds no entries")
             }
         }
     }
@@ -368,29 +394,58 @@ impl VersionList {
         }
     }
 
-    /// Builds a list from an entry vector (codec/constructor entry point).
-    fn from_vec(v: Vec<VersionEntry>) -> Self {
+    /// Builds a list holding a copy of `src`.
+    fn from_slice(src: &[VersionEntry]) -> Self {
         let mut list = VersionList::new();
-        list.replace_from(&v);
+        list.replace_from(src);
         list
     }
 }
 
 /// A versioned HyperLogLog sketch with `β = 2^precision` registers.
+///
+/// Only occupied cells hold a version list. `cells` packs those lists in
+/// ascending cell order, and a cell's slot in it is the number of
+/// occupancy bits set below the cell's own bit. No stored list is ever
+/// empty, so the packed form is canonical and the derived equality
+/// compares sketches logically.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct VersionedHll {
     precision: u8,
+    /// Version lists of the occupied cells, in ascending cell order.
     cells: Vec<VersionList>,
-    /// Occupancy bitmap: bit `i` is set iff `cells[i]` is non-empty. Real
+    /// Occupancy bitmap: bit `i` is set iff cell `i` is non-empty. Real
     /// sketches populate only a small fraction of their `β` cells (one per
-    /// distinct hash prefix observed), so merge and prune walk the set bits
-    /// instead of streaming the whole cell array — the dominant cost of the
-    /// reverse scan's per-interaction `ApproxMerge`.
+    /// distinct hash prefix observed), so storage, merge and prune follow
+    /// the set bits instead of all `β` cells.
     occupied: Vec<u64>,
 }
 
+/// Number of set bits of `word`.
+#[inline]
+fn popcount(word: u64) -> usize {
+    word.count_ones() as usize // xtask-allow: no-lossy-cast (a popcount ≤ 64 fits usize)
+}
+
+/// Indices of the set bits of `words`, ascending.
+#[inline]
+fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(wi, &word)| {
+        let mut bits = word;
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let bit = bits.trailing_zeros() as usize; // xtask-allow: no-lossy-cast (bit index < 64 fits usize)
+                bits &= bits - 1;
+                wi * 64 + bit
+            })
+        })
+    })
+}
+
 impl VersionedHll {
-    /// Creates an empty sketch with `β = 2^precision` cells.
+    /// Creates an empty sketch with `β = 2^precision` cells. Only the
+    /// `β / 64`-word occupancy bitmap is allocated; version lists are
+    /// allocated as cells become occupied.
     ///
     /// # Panics
     ///
@@ -400,11 +455,10 @@ impl VersionedHll {
             (MIN_PRECISION..=MAX_PRECISION).contains(&precision),
             "precision must be in [{MIN_PRECISION}, {MAX_PRECISION}], got {precision}"
         );
-        let cells = 1usize << precision;
         VersionedHll {
             precision,
-            cells: vec![VersionList::new(); cells],
-            occupied: vec![0; cells.div_ceil(64)],
+            cells: Vec::new(),
+            occupied: vec![0; (1usize << precision).div_ceil(64)],
         }
     }
 
@@ -414,32 +468,31 @@ impl VersionedHll {
         occupied[idx / 64] |= 1 << (idx % 64);
     }
 
-    /// Calls `f` with the index of every non-empty cell, in ascending order,
-    /// by walking the set bits of the occupancy bitmap.
+    /// Whether cell `idx` is occupied, and its slot in the packed lists
+    /// (where it would be inserted, if it is not).
     #[inline]
-    // xtask-contract: alloc-free
-    fn for_each_occupied(occupied: &[u64], mut f: impl FnMut(usize)) {
-        for (wi, &word) in occupied.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                f(wi * 64 + bits.trailing_zeros() as usize); // xtask-allow: no-lossy-cast (bit index < 64 fits usize)
-                bits &= bits - 1;
-            }
-        }
+    fn slot_of(&self, idx: usize) -> (bool, usize) {
+        let (wi, bit) = (idx / 64, idx % 64);
+        let word = self.occupied[wi];
+        let below: usize = self.occupied[..wi].iter().map(|&w| popcount(w)).sum();
+        let slot = below + popcount(word & ((1u64 << bit) - 1));
+        ((word >> bit) & 1 == 1, slot)
+    }
+
+    /// The occupied cells as `(cell index, version list)` pairs, ascending.
+    #[inline]
+    fn occupied_cells(&self) -> impl Iterator<Item = (usize, &VersionList)> {
+        set_bits(&self.occupied).zip(&self.cells)
     }
 
     /// Empties every cell, leaving a sketch equal to
-    /// [`VersionedHll::new`] at the same precision. Only the occupied cells
-    /// are visited, so clearing a sparse sketch costs its populated cells
-    /// plus `β / 64` bitmap words, and the cell array itself is kept for
-    /// reuse.
+    /// [`VersionedHll::new`] at the same precision. The packed lists are
+    /// truncated and the bitmap zeroed, so clearing costs the populated
+    /// cells plus `β / 64` words, and both keep their capacity for reuse.
     // xtask-contract: alloc-free
     pub fn clear(&mut self) {
-        let VersionedHll {
-            cells, occupied, ..
-        } = self;
-        Self::for_each_occupied(occupied, |idx| cells[idx] = VersionList::new());
-        occupied.fill(0);
+        self.cells.clear();
+        self.occupied.fill(0);
     }
 
     /// The precision `k` (so `β = 2^k`).
@@ -448,10 +501,10 @@ impl VersionedHll {
         self.precision
     }
 
-    /// Number of cells `β`.
+    /// Number of cells `β`, occupied or not.
     #[inline]
     pub fn num_cells(&self) -> usize {
-        self.cells.len()
+        1 << self.precision
     }
 
     /// Adds an already-hashed item observed at `time`.
@@ -460,17 +513,28 @@ impl VersionedHll {
     #[inline]
     pub fn add_hash(&mut self, h: u64, time: i64) -> bool {
         let (idx, rho) = split_hash(h, self.precision);
-        let changed = Self::insert_entry(&mut self.cells[idx], rho, time);
-        if changed {
-            Self::mark_occupied(&mut self.occupied, idx);
-        }
-        changed
+        self.insert_at(idx, rho, time)
     }
 
     /// Hashes and adds a `u64` item observed at `time`.
     #[inline]
     pub fn add_u64(&mut self, item: u64, time: i64) -> bool {
         self.add_hash(hash::hash64(item), time)
+    }
+
+    /// Inserts `(ρ, time)` into cell `idx`: `ApproxAdd` on an occupied
+    /// cell, a new one-entry list at the cell's slot otherwise (an empty
+    /// list dominates nothing, so that insert always changes the sketch).
+    #[inline]
+    fn insert_at(&mut self, idx: usize, rho: u8, time: i64) -> bool {
+        let (present, slot) = self.slot_of(idx);
+        if present {
+            return Self::insert_entry(&mut self.cells[slot], rho, time);
+        }
+        self.cells
+            .insert(slot, VersionList::from_slice(&[VersionEntry { time, rho }]));
+        Self::mark_occupied(&mut self.occupied, idx);
+        true
     }
 
     /// The `ApproxAdd` routine (paper Alg. 3): inserts `(ρ, time)` into a
@@ -564,77 +628,84 @@ impl VersionedHll {
             cells, occupied, ..
         } = self;
         if O::ENABLED {
-            let populated: u64 = other
-                .occupied
-                .iter()
-                .map(|w| u64::from(w.count_ones()))
-                .sum();
-            let total = u64::try_from(other.cells.len()).unwrap_or(u64::MAX);
+            let populated = u64::try_from(other.cells.len()).unwrap_or(u64::MAX);
+            let total = u64::try_from(other.num_cells()).unwrap_or(u64::MAX);
             obs.cells_visited(populated);
             obs.cells_skipped(total.saturating_sub(populated));
         }
-        // Walk only `other`'s occupied cells: a sketch populates one cell per
-        // distinct hash prefix observed, so most of the β cells are empty and
-        // never need to be touched.
-        Self::for_each_occupied(&other.occupied, |idx| {
-            let theirs = other.cells[idx].as_slice();
-            // Times are increasing, so the in-window pairs form a prefix.
-            let take = theirs.partition_point(|e| e.time < limit);
-            if take == 0 {
-                return;
-            }
-            let b = &theirs[..take];
-            let mine = &mut cells[idx];
-            let a = mine.as_slice();
-            if a.is_empty() {
-                // b is already a valid dominance chain: copy it wholesale.
-                if O::ENABLED {
-                    obs.entries_scanned(u64::try_from(b.len()).unwrap_or(u64::MAX));
-                    if b.len() > VersionList::INLINE_CAP {
-                        obs.spills(1);
+        // Walk `other`'s occupied cells word by word. `src` indexes its
+        // packed lists; `dst_before` counts our occupied cells in earlier
+        // words, so a cell's slot here is that count plus the rank of its
+        // bit in the current word (re-read after every insert).
+        let mut src = 0usize;
+        let mut dst_before = 0usize;
+        for (wi, &src_word) in other.occupied.iter().enumerate() {
+            let mut bits = src_word;
+            while bits != 0 {
+                let bit = 1u64 << bits.trailing_zeros();
+                bits &= bits - 1;
+                let theirs = other.cells[src].as_slice();
+                src += 1;
+                // Times are increasing, so the in-window pairs form a prefix.
+                let take = theirs.partition_point(|e| e.time < limit);
+                if take == 0 {
+                    continue;
+                }
+                let b = &theirs[..take];
+                let slot = dst_before + popcount(occupied[wi] & (bit - 1));
+                if occupied[wi] & bit == 0 {
+                    // b is already a valid dominance chain: copy it wholesale.
+                    if O::ENABLED {
+                        obs.entries_scanned(u64::try_from(b.len()).unwrap_or(u64::MAX));
+                        if b.len() > VersionList::INLINE_CAP {
+                            obs.spills(1);
+                        }
+                    }
+                    cells.insert(slot, VersionList::from_slice(b));
+                    occupied[wi] |= bit;
+                    continue;
+                }
+                let mine = &mut cells[slot];
+                let a = mine.as_slice();
+                scratch.clear();
+                let (mut i, mut j) = (0usize, 0usize);
+                let mut max_rho = 0u8;
+                while i < a.len() || j < b.len() {
+                    // Next entry in (time asc, ρ desc) order: at equal times the
+                    // larger ρ goes first so the smaller is seen as dominated.
+                    let from_a = j >= b.len()
+                        || (i < a.len()
+                            && (a[i].time < b[j].time
+                                || (a[i].time == b[j].time && a[i].rho >= b[j].rho)));
+                    let e = if from_a {
+                        i += 1;
+                        a[i - 1]
+                    } else {
+                        j += 1;
+                        b[j - 1]
+                    };
+                    if e.rho > max_rho {
+                        max_rho = e.rho;
+                        scratch.push(e);
                     }
                 }
-                mine.replace_from(b);
-                Self::mark_occupied(occupied, idx);
-                return;
-            }
-            scratch.clear();
-            let (mut i, mut j) = (0usize, 0usize);
-            let mut max_rho = 0u8;
-            while i < a.len() || j < b.len() {
-                // Next entry in (time asc, ρ desc) order: at equal times the
-                // larger ρ goes first so the smaller is seen as dominated.
-                let from_a = j >= b.len()
-                    || (i < a.len()
-                        && (a[i].time < b[j].time
-                            || (a[i].time == b[j].time && a[i].rho >= b[j].rho)));
-                let e = if from_a {
-                    i += 1;
-                    a[i - 1]
-                } else {
-                    j += 1;
-                    b[j - 1]
-                };
-                if e.rho > max_rho {
-                    max_rho = e.rho;
-                    scratch.push(e);
+                if O::ENABLED {
+                    let scanned = a.len() + b.len();
+                    obs.entries_scanned(u64::try_from(scanned).unwrap_or(u64::MAX));
+                    let pruned = scanned.saturating_sub(scratch.len());
+                    if pruned > 0 {
+                        obs.entries_pruned(u64::try_from(pruned).unwrap_or(u64::MAX));
+                    }
+                }
+                if scratch.as_slice() != a {
+                    if O::ENABLED && !mine.is_spilled() && scratch.len() > VersionList::INLINE_CAP {
+                        obs.spills(1);
+                    }
+                    mine.replace_from(scratch);
                 }
             }
-            if O::ENABLED {
-                let scanned = a.len() + b.len();
-                obs.entries_scanned(u64::try_from(scanned).unwrap_or(u64::MAX));
-                let pruned = scanned.saturating_sub(scratch.len());
-                if pruned > 0 {
-                    obs.entries_pruned(u64::try_from(pruned).unwrap_or(u64::MAX));
-                }
-            }
-            if scratch.as_slice() != a {
-                if O::ENABLED && !mine.is_spilled() && scratch.len() > VersionList::INLINE_CAP {
-                    obs.spills(1);
-                }
-                mine.replace_from(scratch);
-            }
-        });
+            dst_before += popcount(occupied[wi]);
+        }
     }
 
     /// Unfiltered union of two version sketches (all pairs merged under
@@ -667,20 +738,15 @@ impl VersionedHll {
     /// unaffected by pruning.)
     pub fn estimate_window(&self, anchor: i64, window: i64) -> f64 {
         let limit = anchor.saturating_add(window);
-        let registers: Vec<u8> = self
-            .cells
-            .iter()
-            .map(|c| {
-                let c = c.as_slice();
-                let lo = c.partition_point(|e| e.time < anchor);
-                let hi = c.partition_point(|e| e.time < limit);
-                if hi > lo {
-                    c[hi - 1].rho // ρ increases with time: last in range is max
-                } else {
-                    0
-                }
-            })
-            .collect();
+        let mut registers = vec![0u8; self.num_cells()];
+        for (idx, list) in self.occupied_cells() {
+            let c = list.as_slice();
+            let lo = c.partition_point(|e| e.time < anchor);
+            let hi = c.partition_point(|e| e.time < limit);
+            if hi > lo {
+                registers[idx] = c[hi - 1].rho; // ρ increases with time: last in range is max
+            }
+        }
         estimate_from_registers(&registers)
     }
 
@@ -688,7 +754,7 @@ impl VersionedHll {
     /// estimates the same cardinality as [`estimate`](Self::estimate) and can
     /// be unioned in `O(β)` — the influence-oracle fast path (paper §4.1).
     pub fn to_hyperloglog(&self) -> HyperLogLog {
-        let mut registers = vec![0u8; self.cells.len()];
+        let mut registers = vec![0u8; self.num_cells()];
         self.collapse_registers_into(&mut registers);
         HyperLogLog::from_registers(registers)
     }
@@ -698,7 +764,7 @@ impl VersionedHll {
     /// when freezing a store of versioned sketches into one flat register
     /// arena (`β` bytes per node, no per-node `Vec`). The slice is zeroed and
     /// then only the occupied cells are written, so a sparse sketch costs
-    /// its populated cells rather than a read of all `β` version lists.
+    /// its populated cells rather than `β` version lists.
     ///
     /// # Panics
     ///
@@ -707,18 +773,19 @@ impl VersionedHll {
     pub fn collapse_registers_into(&self, out: &mut [u8]) {
         assert_eq!(
             out.len(),
-            self.cells.len(),
+            self.num_cells(),
             "collapse target length must equal the cell count"
         );
         out.fill(0);
-        Self::for_each_occupied(&self.occupied, |idx| {
-            out[idx] = self.cells[idx].as_slice().last().map_or(0, |e| e.rho);
-        });
+        for (idx, list) in self.occupied_cells() {
+            out[idx] = list.as_slice().last().map_or(0, |e| e.rho);
+        }
     }
 
     /// Streaming-window maintenance (paper §3.2.2: "periodically entries
     /// (r, t) with t − tcurrent + 1 > ω are removed"): drops pairs too far in
-    /// the future of `anchor` to ever fall inside the window again.
+    /// the future of `anchor` to ever fall inside the window again. Cells
+    /// left empty lose their occupancy bit and their packed slot.
     ///
     /// Not used by the reverse-scan IRS algorithm (whose pairs stay valid for
     /// the anchors already processed), but part of the sliding-window sketch.
@@ -727,37 +794,40 @@ impl VersionedHll {
         let VersionedHll {
             cells, occupied, ..
         } = self;
-        for (wi, word) in occupied.iter_mut().enumerate() {
+        let mut slot = 0usize;
+        for word in occupied.iter_mut() {
             let mut bits = *word;
             while bits != 0 {
-                let idx = wi * 64 + bits.trailing_zeros() as usize; // xtask-allow: no-lossy-cast (bit index < 64 fits usize)
+                let bit = 1u64 << bits.trailing_zeros();
                 bits &= bits - 1;
-                let cell = &mut cells[idx];
+                let cell = &mut cells[slot];
+                slot += 1;
                 cell.retain(|e| e.time < limit);
                 if cell.is_empty() {
-                    *word &= !(1u64 << (idx % 64));
+                    *word &= !bit;
                 }
             }
         }
+        cells.retain(|c| !c.is_empty());
     }
 
     /// Total number of version pairs across all cells.
     pub fn total_entries(&self) -> usize {
-        let mut total = 0;
-        Self::for_each_occupied(&self.occupied, |idx| total += self.cells[idx].len());
-        total
+        self.cells.iter().map(VersionList::len).sum()
     }
 
     /// Whether no item was ever retained.
     pub fn is_empty(&self) -> bool {
-        self.occupied.iter().all(|&w| w == 0)
+        self.cells.is_empty()
     }
 
-    /// Heap bytes held by the sketch (cell headers + spilled version lists),
-    /// used by the Table 4 memory accounting. Inline lists cost nothing
-    /// beyond the cell array itself.
+    /// Heap bytes held by the sketch, used by the Table 4 memory
+    /// accounting: the packed cell array's capacity, the occupancy bitmap
+    /// and spilled version lists. Inline lists cost nothing beyond their
+    /// packed slot.
     pub fn heap_bytes(&self) -> usize {
         self.cells.capacity() * std::mem::size_of::<VersionList>()
+            + self.occupied.capacity() * std::mem::size_of::<u64>()
             + self
                 .cells
                 .iter()
@@ -771,9 +841,18 @@ impl VersionedHll {
         self.cells.iter().filter(|c| c.is_spilled()).count()
     }
 
-    /// Read-only view of a cell's version list (tests, debugging).
+    /// Read-only view of a cell's version list, empty for an unoccupied
+    /// cell (tests, codecs, debugging).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx` is not below the cell count `2^precision`.
     pub fn cell(&self, idx: usize) -> &[VersionEntry] {
-        self.cells[idx].as_slice()
+        assert!(idx < self.num_cells(), "cell index {idx} out of range");
+        match self.slot_of(idx) {
+            (true, slot) => self.cells[slot].as_slice(),
+            (false, _) => &[],
+        }
     }
 
     /// The maximal legal ρ for this precision: `64 − k + 1` (a `k`-bit
@@ -787,27 +866,31 @@ impl VersionedHll {
     /// Full structural validation of the sketch — the `check_dominance_chain`
     /// invariant checker of the paper-verification layer.
     ///
-    /// Verifies that the precision is in range, the cell count is
-    /// `2^precision`, and every cell's version list is a proper dominance
-    /// chain per [`check_entries`]: strictly increasing time, strictly
-    /// increasing ρ, ρ within `[1, 64 − k + 1]`. Any other shape cannot have
-    /// been produced by `ApproxAdd`/`ApproxMerge` (Alg. 3) and would silently
-    /// bias window estimates.
+    /// Verifies that the precision is in range, the occupancy bitmap marks
+    /// exactly as many cells as there are stored lists, no occupied cell is
+    /// empty, and every cell's version list is a proper dominance chain per
+    /// [`check_entries`]: strictly increasing time, strictly increasing ρ,
+    /// ρ within `[1, 64 − k + 1]`. Any other shape cannot have been
+    /// produced by `ApproxAdd`/`ApproxMerge` (Alg. 3) and would silently
+    /// bias window estimates. Errors name the cell index.
     pub fn check_dominance_chain(&self) -> Result<(), SketchInvariantError> {
         if !(MIN_PRECISION..=MAX_PRECISION).contains(&self.precision) {
             return Err(SketchInvariantError::Precision(self.precision));
         }
-        let expected = 1usize << self.precision;
-        if self.cells.len() != expected {
-            return Err(SketchInvariantError::CellCount {
-                expected,
-                got: self.cells.len(),
+        let marked: usize = self.occupied.iter().map(|&w| popcount(w)).sum();
+        if marked != self.cells.len() {
+            return Err(SketchInvariantError::Occupancy {
+                marked,
+                lists: self.cells.len(),
             });
         }
         let max_rho = self.max_rho();
-        for (i, cell) in self.cells.iter().enumerate() {
-            check_entries(cell.as_slice(), max_rho)
-                .map_err(|error| SketchInvariantError::Cell { cell: i, error })?;
+        for (cell, list) in self.occupied_cells() {
+            if list.is_empty() {
+                return Err(SketchInvariantError::EmptyCell { cell });
+            }
+            check_entries(list.as_slice(), max_rho)
+                .map_err(|error| SketchInvariantError::Cell { cell, error })?;
         }
         Ok(())
     }
@@ -822,44 +905,58 @@ impl VersionedHll {
     /// index (impossible via this type's own constructors) map to cell 0.
     pub fn check_invariants(&self) -> Result<(), usize> {
         self.check_dominance_chain().map_err(|e| match e {
-            SketchInvariantError::Cell { cell, .. } => cell,
-            SketchInvariantError::Precision(_) | SketchInvariantError::CellCount { .. } => 0,
+            SketchInvariantError::Cell { cell, .. } | SketchInvariantError::EmptyCell { cell } => {
+                cell
+            }
+            SketchInvariantError::Precision(_)
+            | SketchInvariantError::CellCount { .. }
+            | SketchInvariantError::Occupancy { .. } => 0,
         })
     }
 
-    /// Validating constructor from raw cell lists: accepts exactly the
-    /// sketches [`check_dominance_chain`](Self::check_dominance_chain) would
-    /// pass, and rejects everything else. This is the only way to build a
+    /// Validating constructor from raw cell lists, one per cell (`β`
+    /// lists, empty for unoccupied cells): accepts exactly the sketches
+    /// [`check_dominance_chain`](Self::check_dominance_chain) would pass,
+    /// and rejects everything else. This is the only way to build a
     /// sketch from externally supplied version lists, so corrupted-by-
     /// construction input cannot enter the system silently.
     pub fn from_cells(
         precision: u8,
         cells: Vec<Vec<VersionEntry>>,
     ) -> Result<Self, SketchInvariantError> {
-        let cells: Vec<VersionList> = cells.into_iter().map(VersionList::from_vec).collect();
-        let mut occupied = vec![0u64; cells.len().div_ceil(64)];
-        for (i, c) in cells.iter().enumerate() {
-            if !c.is_empty() {
-                Self::mark_occupied(&mut occupied, i);
+        if !(MIN_PRECISION..=MAX_PRECISION).contains(&precision) {
+            return Err(SketchInvariantError::Precision(precision));
+        }
+        let expected = 1usize << precision;
+        if cells.len() != expected {
+            return Err(SketchInvariantError::CellCount {
+                expected,
+                got: cells.len(),
+            });
+        }
+        let mut sketch = VersionedHll::new(precision);
+        for (idx, list) in cells.iter().enumerate() {
+            if !list.is_empty() {
+                Self::mark_occupied(&mut sketch.occupied, idx);
+                sketch.cells.push(VersionList::from_slice(list));
             }
         }
-        let sketch = VersionedHll {
-            precision,
-            cells,
-            occupied,
-        };
         sketch.check_dominance_chain()?;
         Ok(sketch)
     }
 
     /// Direct cell-level insertion for tests that need to script exact
     /// `(cell, ρ, time)` sequences (like the paper's worked examples).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cell_idx` is not below the cell count `2^precision`.
     pub fn insert_raw(&mut self, cell_idx: usize, rho: u8, time: i64) -> bool {
-        let changed = Self::insert_entry(&mut self.cells[cell_idx], rho, time);
-        if changed {
-            Self::mark_occupied(&mut self.occupied, cell_idx);
-        }
-        changed
+        assert!(
+            cell_idx < self.num_cells(),
+            "cell index {cell_idx} out of range"
+        );
+        self.insert_at(cell_idx, rho, time)
     }
 }
 
@@ -1028,7 +1125,12 @@ mod tests {
         assert_eq!(s.estimate(), 0.0);
         assert_eq!(s.total_entries(), 0);
         assert!(s.check_invariants().is_ok());
-        assert!(s.heap_bytes() >= 64 * std::mem::size_of::<Vec<VersionEntry>>());
+        assert_eq!(s.num_cells(), 64);
+        assert!((0..64).all(|i| s.cell(i).is_empty()));
+        // No version list is allocated: the sketch holds only its one-word
+        // occupancy bitmap.
+        assert_eq!(s.cells.capacity(), 0);
+        assert_eq!(s.heap_bytes(), std::mem::size_of::<u64>());
     }
 
     #[test]
@@ -1162,7 +1264,8 @@ mod tests {
     #[test]
     fn total_entries_and_heap_bytes_grow() {
         let mut s = VersionedHll::new(4);
-        let before = s.heap_bytes();
+        let bitmap = std::mem::size_of::<u64>();
+        assert_eq!(s.heap_bytes(), bitmap);
         // Decreasing times with increasing rho stack up (none dominates).
         for i in 0..10u8 {
             s.insert_raw(0, 10 - i, i64::from(i));
@@ -1179,14 +1282,20 @@ mod tests {
         s.insert_raw(2, 2, 1);
         s.insert_raw(2, 3, 2);
         assert_eq!(s.cell(2).len(), 3);
-        // Three entries still fit the inline buffer: no heap growth yet.
+        // Three occupied cells take three packed slots; three entries still
+        // fit a cell's inline buffer, so nothing else is on the heap.
+        assert_eq!(s.cells.len(), 3);
         assert_eq!(s.spilled_cells(), 0);
-        assert_eq!(s.heap_bytes(), before);
+        let packed = s.cells.capacity() * std::mem::size_of::<VersionList>();
+        assert_eq!(s.heap_bytes(), bitmap + packed);
         // A fourth chain entry spills the cell to the heap.
         s.insert_raw(2, 4, 3);
         assert_eq!(s.cell(2).len(), 4);
         assert_eq!(s.spilled_cells(), 1);
-        assert!(s.heap_bytes() > before);
+        assert!(s.heap_bytes() > bitmap + packed);
+        // Clearing keeps the packed capacity and frees the spilled list.
+        s.clear();
+        assert_eq!(s.heap_bytes(), bitmap + packed);
     }
 
     #[test]
@@ -1263,19 +1372,27 @@ mod tests {
     }
 
     /// The occupancy bitmap mirrors cell non-emptiness through every
-    /// mutation path: insert, merge, prune, and the validating constructor.
+    /// mutation path (insert, merge, prune, and the validating
+    /// constructor), and the packed lists hold exactly the occupied cells
+    /// in cell order.
     #[test]
     fn occupancy_bitmap_tracks_non_empty_cells() {
         fn check(s: &VersionedHll) {
-            for (i, c) in s.cells.iter().enumerate() {
+            let mut slot = 0;
+            for i in 0..s.num_cells() {
                 let bit = (s.occupied[i / 64] >> (i % 64)) & 1 == 1;
-                assert_eq!(bit, !c.is_empty(), "cell {i}");
+                assert_eq!(bit, !s.cell(i).is_empty(), "cell {i}");
+                if bit {
+                    assert_eq!(s.cells[slot].as_slice(), s.cell(i), "cell {i}");
+                    slot += 1;
+                }
             }
+            assert_eq!(slot, s.cells.len());
         }
         let mut s = VersionedHll::new(4);
         assert!(s.occupied.iter().all(|&w| w == 0));
-        s.insert_raw(3, 2, 5);
         s.insert_raw(9, 1, 2);
+        s.insert_raw(3, 2, 5);
         check(&s);
 
         // Merging into an empty sketch must set bits for the copied cells.
@@ -1284,7 +1401,20 @@ mod tests {
         check(&t);
         assert_eq!(t, s);
 
-        // Pruning a cell to empty must clear its bit.
+        // Merging cells below, between and above the occupied ones inserts
+        // each at its slot.
+        let mut u = VersionedHll::new(4);
+        for idx in [0, 5, 15] {
+            u.insert_raw(idx, 3, 1);
+        }
+        t.merge_all(&u);
+        check(&t);
+        assert_eq!(t.cells.len(), 5);
+
+        // Pruning a cell to empty must clear its bit and drop its slot.
+        t.prune_outside(0, 2);
+        check(&t);
+        assert_eq!(t.cells.len(), 3);
         t.prune_outside(0, 1);
         check(&t);
         assert!(t.is_empty());
@@ -1302,6 +1432,30 @@ mod tests {
         let u = VersionedHll::from_cells(4, raw).unwrap();
         check(&u);
         assert_eq!(u.total_entries(), 1);
+    }
+
+    /// A bitmap that disagrees with the packed lists is caught, and an
+    /// empty list at an occupied cell is reported by its cell index.
+    #[test]
+    fn check_dominance_chain_rejects_inconsistent_packing() {
+        let mut s = VersionedHll::new(4);
+        s.insert_raw(2, 1, 1);
+        s.insert_raw(7, 2, 3);
+        let mut extra_bit = s.clone();
+        extra_bit.occupied[0] |= 1 << 11;
+        assert_eq!(
+            extra_bit.check_dominance_chain(),
+            Err(SketchInvariantError::Occupancy {
+                marked: 3,
+                lists: 2
+            })
+        );
+        let mut emptied = s.clone();
+        emptied.cells[1] = VersionList::new();
+        let err = emptied.check_dominance_chain().unwrap_err();
+        assert_eq!(err, SketchInvariantError::EmptyCell { cell: 7 });
+        assert!(err.to_string().contains("cell 7"));
+        assert_eq!(emptied.check_invariants(), Err(7));
     }
 
     /// Deterministic random sketches: a mix of adds over a wide time range
@@ -1353,10 +1507,8 @@ mod tests {
         for (round, precision) in [4u8, 5, 8, 9, 12].into_iter().cycle().take(30).enumerate() {
             let items = [0, 1, 10, 300, 5_000][round % 5];
             let s = random_sketch(precision, items, round as u64 * 0x9e37_79b9 + 3);
-            let scanned: Vec<u8> = s
-                .cells
-                .iter()
-                .map(|c| c.as_slice().last().map_or(0, |e| e.rho))
+            let scanned: Vec<u8> = (0..s.num_cells())
+                .map(|i| s.cell(i).last().map_or(0, |e| e.rho))
                 .collect();
             // A dirty target row must come back as exactly the scan.
             let mut collapsed = vec![0xAB; s.num_cells()];
@@ -1364,9 +1516,12 @@ mod tests {
             assert_eq!(collapsed, scanned, "round {round}");
             assert_eq!(
                 s.total_entries(),
-                s.cells.iter().map(VersionList::len).sum::<usize>()
+                (0..s.num_cells()).map(|i| s.cell(i).len()).sum::<usize>()
             );
-            assert_eq!(s.is_empty(), s.cells.iter().all(VersionList::is_empty));
+            assert_eq!(
+                s.is_empty(),
+                (0..s.num_cells()).all(|i| s.cell(i).is_empty())
+            );
         }
     }
 }

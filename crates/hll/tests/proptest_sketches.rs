@@ -312,3 +312,193 @@ mod codec_fuzz {
         }
     }
 }
+
+/// The packed sketch (version lists stored for occupied cells only) against
+/// a dense reference model holding one list per cell, driven by the same
+/// random operations. The model implements `ApproxAdd` (Alg. 3) by its
+/// definition and a merge as an insert loop over the in-window pairs, so
+/// it shares no code with the sketch.
+mod packed_matches_dense {
+    use infprop_hll::{hash, VersionEntry, VersionedHll};
+    use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
+
+    /// One version list per cell.
+    #[derive(Clone, Debug)]
+    struct Dense {
+        precision: u8,
+        cells: Vec<Vec<VersionEntry>>,
+    }
+
+    impl Dense {
+        fn new(precision: u8) -> Self {
+            Dense {
+                precision,
+                cells: vec![Vec::new(); 1 << precision],
+            }
+        }
+
+        /// `ApproxAdd`: rejected when some `(ρ′, t′)` with `t′ ≤ t`,
+        /// `ρ′ ≥ ρ` dominates it; otherwise evicts every pair it dominates.
+        fn insert(&mut self, cell: usize, rho: u8, time: i64) -> bool {
+            let list = &mut self.cells[cell];
+            if list.iter().any(|e| e.time <= time && e.rho >= rho) {
+                return false;
+            }
+            list.retain(|e| !(e.time >= time && e.rho <= rho));
+            list.push(VersionEntry { time, rho });
+            list.sort_by_key(|e| e.time);
+            true
+        }
+
+        /// The HLL split of a 64-bit hash: the low `k` bits pick the cell,
+        /// ρ is the 1-based lowest set bit of the rest.
+        fn add_u64(&mut self, item: u64, time: i64) -> bool {
+            let h = hash::hash64(item);
+            let k = u32::from(self.precision);
+            let cell = (h & ((1 << k) - 1)) as usize;
+            let rest = h >> k;
+            let rho = if rest == 0 {
+                65 - k
+            } else {
+                rest.trailing_zeros() + 1
+            };
+            self.insert(cell, rho as u8, time)
+        }
+
+        fn merge_from(&mut self, other: &Dense, anchor: i64, window: i64) {
+            let limit = anchor.saturating_add(window);
+            for (cell, list) in other.cells.iter().enumerate() {
+                for e in list.iter().filter(|e| e.time < limit) {
+                    self.insert(cell, e.rho, e.time);
+                }
+            }
+        }
+
+        fn prune_outside(&mut self, anchor: i64, window: i64) {
+            let limit = anchor.saturating_add(window);
+            for list in &mut self.cells {
+                list.retain(|e| e.time < limit);
+            }
+        }
+
+        fn clear(&mut self) {
+            self.cells.iter_mut().for_each(Vec::clear);
+        }
+    }
+
+    /// A packed sketch and its dense twin, filled with `n` random adds and
+    /// one long (spilled) chain.
+    fn twin_sources(precision: u8, seed: u64, n: usize) -> (VersionedHll, Dense) {
+        let mut packed = VersionedHll::new(precision);
+        let mut dense = Dense::new(precision);
+        let mut x = seed | 1;
+        for _ in 0..n {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let time = (x % 400) as i64 - 200;
+            assert_eq!(packed.add_u64(x, time), dense.add_u64(x, time));
+        }
+        let cell = (seed as usize) % packed.num_cells();
+        for i in 0..6u8 {
+            let time = -300 + i64::from(i) * 100;
+            assert_eq!(
+                packed.insert_raw(cell, 10 + i, time),
+                dense.insert(cell, 10 + i, time)
+            );
+        }
+        (packed, dense)
+    }
+
+    /// Every observable of the packed sketch equals the dense model's.
+    fn assert_same(packed: &VersionedHll, dense: &Dense) -> Result<(), TestCaseError> {
+        let beta = 1usize << dense.precision;
+        prop_assert_eq!(packed.num_cells(), beta);
+        for (i, list) in dense.cells.iter().enumerate() {
+            prop_assert_eq!(packed.cell(i), list.as_slice(), "cell {}", i);
+        }
+        let maxima: Vec<u8> = dense
+            .cells
+            .iter()
+            .map(|l| l.last().map_or(0, |e| e.rho))
+            .collect();
+        let mut collapsed = vec![0xAB; beta];
+        packed.collapse_registers_into(&mut collapsed);
+        prop_assert_eq!(collapsed, maxima);
+        let entries: usize = dense.cells.iter().map(Vec::len).sum();
+        prop_assert_eq!(packed.total_entries(), entries);
+        prop_assert_eq!(packed.is_empty(), entries == 0);
+        prop_assert_eq!(packed.check_dominance_chain(), Ok(()));
+        let rebuilt = VersionedHll::from_cells(dense.precision, dense.cells.clone());
+        prop_assert_eq!(rebuilt.as_ref(), Ok(packed));
+        let exported: Vec<Vec<VersionEntry>> = (0..beta).map(|i| packed.cell(i).to_vec()).collect();
+        let round_trip = VersionedHll::from_cells(dense.precision, exported);
+        prop_assert_eq!(round_trip.as_ref(), Ok(packed));
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Adds, raw inserts, spilled chains, window-filtered merges (into
+        /// empty and populated sketches, with many new cells), prunes down
+        /// to empty, and clear-then-reuse, at precisions 4, 6 and 9.
+        #[test]
+        fn packed_sketch_equals_dense_model(
+            p in 0usize..3,
+            ops in prop::collection::vec((0u8..8, any::<u64>(), -250i64..250, 0i64..400), 1..40),
+        ) {
+            let precision = [4u8, 6, 9][p];
+            let beta = 1usize << precision;
+            let mut packed = VersionedHll::new(precision);
+            let mut dense = Dense::new(precision);
+            let mut scratch = Vec::new();
+            for (kind, a, b, c) in ops {
+                match kind {
+                    0 | 1 => {
+                        prop_assert_eq!(packed.add_u64(a, b), dense.add_u64(a, b));
+                    }
+                    2 => {
+                        let (cell, rho) = ((a as usize) % beta, 1 + (a >> 32) as u8 % 20);
+                        prop_assert_eq!(packed.insert_raw(cell, rho, b), dense.insert(cell, rho, b));
+                    }
+                    3 => {
+                        // A chain of increasing (time, ρ): spills past the
+                        // inline buffer.
+                        let cell = (a as usize) % beta;
+                        for i in 0..(4 + a % 5) {
+                            let (rho, time) = (2 + i as u8, b + i as i64);
+                            prop_assert_eq!(
+                                packed.insert_raw(cell, rho, time),
+                                dense.insert(cell, rho, time)
+                            );
+                        }
+                    }
+                    4 | 5 => {
+                        // Sources of up to ~1.2β items: many of their cells
+                        // are new to a populated destination.
+                        let n = (c as usize) % (beta + beta / 4 + 8);
+                        let (src, src_dense) = twin_sources(precision, a, n);
+                        assert_same(&src, &src_dense)?;
+                        let window = if kind == 5 { i64::MAX / 2 } else { 1 + c };
+                        packed.merge_from_with(&src, b, window, &mut scratch);
+                        dense.merge_from(&src_dense, b, window);
+                    }
+                    6 => {
+                        // c < 40 prunes every pair (all times are ≥ −300).
+                        let anchor = if c < 40 { -1_000 } else { b };
+                        packed.prune_outside(anchor, 1 + c % 200);
+                        dense.prune_outside(anchor, 1 + c % 200);
+                    }
+                    _ => {
+                        packed.clear();
+                        dense.clear();
+                        prop_assert_eq!(&packed, &VersionedHll::new(precision));
+                    }
+                }
+                assert_same(&packed, &dense)?;
+            }
+        }
+    }
+}
