@@ -746,12 +746,12 @@ alone and the committed ~18% sits ~5% above the per-element-tracing floor; on ha
 with a <=25 ns monotonic clock the same code meets the target. The untraced rows are \
 unchanged because the NoopTracer instantiation compiles to the PR 8 code (proven \
 allocation-free by the counting-allocator test in core). \
-Vectorized-kernel PR: the frozen register merge is now vectorized by \
-construction (portable 16-byte-lane byte-max always on, optional runtime-dispatched AVX2 under \
---features simd-avx2, both asserted bit-identical to the scalar reference); query kernels read \
-node-major rows through compile-time-sized 64-byte tiles with beta-literal dispatch per common \
-precision, a tile-major transposed arena is built alongside for column-order scans, and the new \
-oracle_batch_query_ns rows measure influence_many_frozen: the \
+Sparse-row PR: the frozen vHLL arena (IPFA v4) stores each node's non-zero registers as \
+sorted (index, rho) pairs; single queries max-merge them into a stack block and the batch \
+kernel scatters them into one beta-byte accumulator per query, so the dense byte-max kernels, \
+the AVX2 feature and the tile-major transposed copy are gone. \
+Vectorized-kernel PR: the frozen register merge read node-major rows through 64-byte tiles, \
+and the new oracle_batch_query_ns rows measure influence_many_frozen: the \
 same 64 queries answered in one call with seed dedup, per-worker scratch, and GROUP=4 \
 query interleaving whose four estimator chains run in one out-of-line absorb loop (keeping the \
 running sums register-resident is where the single-core batch win comes from — thread rows only \

@@ -1,4 +1,4 @@
-// xtask-allow: forbid-unsafe (the literal forbid below is conditional: builds without the opt-in `simd-avx2`/`mmap` features keep `#![forbid(unsafe_code)]`; with either, unsafe is denied crate-wide except the allow-scoped AVX2 kernel and mmap arena modules)
+// xtask-allow: forbid-unsafe (the literal forbid below is conditional: builds without the opt-in `mmap` feature keep `#![forbid(unsafe_code)]`; with it, unsafe is denied crate-wide except the allow-scoped mmap arena module)
 //! The paper's primary contribution: influence-reachability sets (IRS) over
 //! time-constrained information channels, computed in **one pass** over an
 //! interaction network — exactly or with versioned-HyperLogLog sketches —
@@ -73,13 +73,12 @@
 //! ```
 
 #![warn(missing_docs)]
-// Default builds stay `forbid(unsafe_code)`-clean. The opt-in `simd-avx2`
-// and `mmap` features downgrade the crate-wide lint to `deny` so their one
-// `#[allow(unsafe_code)]` module each — the AVX2 dispatch in [`kernel`] and
-// the mapping wrapper in `arena` — can exist; every other module is still
-// rejected at compile time if it tries.
-#![cfg_attr(not(any(feature = "simd-avx2", feature = "mmap")), forbid(unsafe_code))]
-#![cfg_attr(any(feature = "simd-avx2", feature = "mmap"), deny(unsafe_code))]
+// Default builds stay `forbid(unsafe_code)`-clean. The opt-in `mmap`
+// feature downgrades the crate-wide lint to `deny` so its one
+// `#[allow(unsafe_code)]` module — the mapping wrapper in `arena` — can
+// exist; every other module is still rejected at compile time if it tries.
+#![cfg_attr(not(feature = "mmap"), forbid(unsafe_code))]
+#![cfg_attr(feature = "mmap", deny(unsafe_code))]
 
 mod approx;
 mod arena;
@@ -90,7 +89,7 @@ pub mod engine;
 mod exact;
 mod frozen;
 pub mod invariants;
-pub mod kernel;
+mod kernel;
 mod maximize;
 pub mod obs;
 mod oracle;
@@ -122,6 +121,7 @@ pub use engine::{
 pub use exact::ExactIrs;
 pub use frozen::{EntriesSlice, FrozenApproxOracle, FrozenExactOracle};
 pub use invariants::{validate_all, InvariantViolation};
+pub use kernel::SparseRow;
 pub use maximize::{
     greedy_top_k, greedy_top_k_paper, greedy_top_k_paper_threads, greedy_top_k_recorded,
     greedy_top_k_threads, greedy_top_k_traced, Selection,

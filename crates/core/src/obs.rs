@@ -100,8 +100,8 @@ pub enum Counter {
     /// Seed-set queries answered by the batch-first frozen kernel
     /// (`influence_many_frozen`), a subset of `oracle.queries`.
     KernelBatchQueries,
-    /// Register rows (seed summaries after dedup) folded by the wide-lane
-    /// merge kernel across batch queries.
+    /// Summary rows (seeds after dedup) merged by the frozen batch kernels
+    /// across batch queries.
     KernelMergeRows,
     /// Client connections accepted by the serving tier.
     ServeConnections,

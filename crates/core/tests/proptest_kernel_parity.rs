@@ -1,19 +1,20 @@
-//! Parity property tests for the vectorized frozen query kernel (PR 8):
+//! Parity property tests for the frozen query kernels:
 //!
-//! * the wide-lane merge paths — scalar reference, 16-byte lane blocks,
-//!   portable SWAR words, and the optional AVX2 dispatch — must write
-//!   **bit-identical** accumulator bytes for arbitrary inputs and lengths
-//!   (including ragged tails the arenas never produce);
+//! * a frozen arena's sparse rows hold exactly the non-zero registers of
+//!   arbitrary collapsed sketches, and every way of reading a row — the
+//!   batch kernel's scatter into a `β`-byte accumulator, the single-query
+//!   tile merge, the row estimate — equals the dense register array, at
+//!   every precision the format accepts;
 //! * the true batch API (`influence_many_frozen`) must answer
 //!   bit-identically to per-query `influence` on the frozen arena and to
 //!   the live oracle, at 1, 2, and 8 threads, for arbitrary tie-heavy
 //!   networks and seed sets with duplicates — including precision 4, where
-//!   `β = 16` is smaller than the 64-byte merge tile.
+//!   `β = 16` is smaller than the 64-register tile.
 
-use infprop_core::kernel::{
-    max_u8x8, merge_max, merge_max_lanes, merge_max_scalar, merge_max_swar, try_merge_max_avx2,
+use infprop_core::{
+    ApproxIrs, ApproxOracle, ExactIrs, FrozenApproxOracle, InfluenceOracle, LayeredApproxOracle,
 };
-use infprop_core::{ApproxIrs, ExactIrs, InfluenceOracle, LayeredApproxOracle};
+use infprop_hll::{estimate_from_registers, HyperLogLog};
 use infprop_temporal_graph::{Interaction, InteractionNetwork, NodeId, Window};
 use proptest::prelude::*;
 
@@ -35,43 +36,79 @@ fn seed_sets() -> impl Strategy<Value = Vec<Vec<NodeId>>> {
 }
 
 proptest! {
-    /// All merge paths agree bytewise with the scalar reference for any
-    /// accumulator/source contents and any (possibly ragged) length.
+    /// Rows of arbitrary sketches — register values anywhere in the legal
+    /// ρ range, density from empty to full — read back as the dense
+    /// registers through every row reader, and answer unions, absorbs and
+    /// marginal gains bit-identically to the live collapsed oracle.
     #[test]
-    fn merge_paths_are_bit_identical(
-        acc in prop::collection::vec(any::<u8>(), 0..200),
-        src in prop::collection::vec(any::<u8>(), 0..200),
+    fn sparse_rows_equal_dense_registers(
+        precision in 4u8..=16,
+        rows in prop::collection::vec((0u64..1 << 20, 0u32..=100), 1..6),
+        seeds in prop::collection::vec(0usize..6, 0..6),
     ) {
-        let mut scalar = acc.clone();
-        merge_max_scalar(&mut scalar, &src);
-        let mut swar = acc.clone();
-        merge_max_swar(&mut swar, &src);
-        prop_assert_eq!(&swar, &scalar);
-        let mut lanes = acc.clone();
-        merge_max_lanes(&mut lanes, &src);
-        prop_assert_eq!(&lanes, &scalar);
-        let mut dispatched = acc.clone();
-        merge_max(&mut dispatched, &src);
-        prop_assert_eq!(&dispatched, &scalar);
-        let mut avx2 = acc.clone();
-        if try_merge_max_avx2(&mut avx2, &src) {
-            prop_assert_eq!(&avx2, &scalar);
-        } else {
-            // Compiled out or unsupported CPU: acc must be untouched.
-            prop_assert_eq!(&avx2, &acc);
+        let beta = 1usize << precision;
+        let max_rho = 64 - precision + 1;
+        // Row `u` sets each register with probability `density` percent,
+        // drawn from a per-row SplitMix stream.
+        let sketches: Vec<HyperLogLog> = rows
+            .iter()
+            .map(|&(seed, density)| {
+                let mut state = seed;
+                let regs = (0..beta)
+                    .map(|_| {
+                        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                        let z = (state ^ (state >> 31)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                        let z = z ^ (z >> 29);
+                        if (z % 100) < u64::from(density) {
+                            1 + ((z >> 8) % u64::from(max_rho)) as u8
+                        } else {
+                            0
+                        }
+                    })
+                    .collect();
+                HyperLogLog::from_registers(regs)
+            })
+            .collect();
+        let frozen = FrozenApproxOracle::from_collapsed(precision, &sketches);
+        prop_assert!(frozen.validate().is_ok());
+        let mut acc = vec![0u8; beta];
+        for (u, sketch) in sketches.iter().enumerate() {
+            let row = frozen.row(NodeId::from_index(u));
+            let dense = sketch.registers();
+            prop_assert_eq!(row.len(), dense.iter().filter(|&&r| r != 0).count());
+            prop_assert_eq!(row.to_registers(beta), dense.to_vec());
+            let step = 64.min(beta);
+            let mut tiled = vec![0u8; beta];
+            for (t, block) in tiled.chunks_exact_mut(step).enumerate() {
+                row.max_into_tile(t * step, block);
+            }
+            prop_assert_eq!(&tiled[..], dense);
+            prop_assert_eq!(
+                row.estimate(beta).to_bits(),
+                estimate_from_registers(dense).to_bits()
+            );
+            row.max_into(&mut acc);
         }
-    }
-
-    /// The packed SWAR byte-max equals the lane-by-lane scalar max for
-    /// arbitrary words (exercises every high-bit/low-bits combination the
-    /// guard-bit subtraction must get right).
-    #[test]
-    fn swar_word_max_matches_scalar_lanes(x in any::<u64>(), y in any::<u64>()) {
-        let got = max_u8x8(x, y).to_le_bytes();
-        let xb = x.to_le_bytes();
-        let yb = y.to_le_bytes();
-        for i in 0..8 {
-            prop_assert_eq!(got[i], xb[i].max(yb[i]), "lane {}", i);
+        let live = ApproxOracle::from_sketches(sketches.clone());
+        let all: Vec<NodeId> = (0..sketches.len()).map(NodeId::from_index).collect();
+        prop_assert_eq!(frozen.influence(&all).to_bits(), estimate_from_registers(&acc).to_bits());
+        let seeds: Vec<NodeId> = seeds
+            .into_iter()
+            .filter(|&s| s < sketches.len())
+            .map(NodeId::from_index)
+            .collect();
+        prop_assert_eq!(frozen.influence(&seeds).to_bits(), live.influence(&seeds).to_bits());
+        let batch = frozen.influence_many_frozen(&[seeds.clone(), all.clone()], 1);
+        prop_assert_eq!(batch[0].to_bits(), live.influence(&seeds).to_bits());
+        let (mut fu, mut lu) = (frozen.empty_union(), live.empty_union());
+        for &s in &seeds {
+            frozen.absorb(&mut fu, s);
+            live.absorb(&mut lu, s);
+        }
+        prop_assert_eq!(fu.registers(), lu.registers());
+        for &u in &all {
+            prop_assert_eq!(frozen.marginal_gain(&fu, u).to_bits(), live.marginal_gain(&lu, u).to_bits());
+            prop_assert_eq!(frozen.individual(u).to_bits(), live.individual(u).to_bits());
         }
     }
 

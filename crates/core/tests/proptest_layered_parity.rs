@@ -174,7 +174,7 @@ fn check_approx(
 ) -> Result<(), TestCaseError> {
     let w = layered.window();
     let overlay = scratch_approx(layered.delta().log(), universe, w);
-    prop_assert_eq!(layered.overlay().registers(), overlay.registers());
+    prop_assert_eq!(layered.overlay().image(), overlay.image());
     assert_query_parity(layered, &scratch_approx(history, universe, w), seeds)
 }
 
@@ -242,7 +242,7 @@ proptest! {
         prop_assert_eq!(exact.generation(), 1);
         prop_assert_eq!(exact.base().offsets(), exact_ref.offsets());
         prop_assert_eq!(exact.base().entries(), exact_ref.entries());
-        prop_assert_eq!(approx.base().registers(), approx_ref.registers());
+        prop_assert_eq!(approx.base().image(), approx_ref.image());
         // The survivors become the next generation's tail; pending empties.
         prop_assert_eq!(exact.delta().pending().len(), 0);
         prop_assert_eq!(exact.delta().tail(), surviving);

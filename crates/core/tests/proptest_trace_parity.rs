@@ -187,8 +187,8 @@ proptest! {
         approx_traced.compact_traced(&NoopRecorder, ring.lane(0));
         assert_ring_well_formed(&ring, 3)?;
         prop_assert_eq!(
-            approx_traced.base().registers(),
-            approx_ref.base().registers()
+            approx_traced.base().image(),
+            approx_ref.base().image()
         );
 
         for threads in THREAD_COUNTS {

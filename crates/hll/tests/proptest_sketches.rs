@@ -425,6 +425,14 @@ mod packed_matches_dense {
             .collect();
         let mut collapsed = vec![0xAB; beta];
         packed.collapse_registers_into(&mut collapsed);
+        let pairs: Vec<(usize, u8)> = maxima
+            .iter()
+            .enumerate()
+            .filter(|&(_, &rho)| rho > 0)
+            .map(|(i, &rho)| (i, rho))
+            .collect();
+        prop_assert_eq!(packed.collapsed_cells().collect::<Vec<_>>(), pairs.clone());
+        prop_assert_eq!(packed.occupied_count(), pairs.len());
         prop_assert_eq!(collapsed, maxima);
         let entries: usize = dense.cells.iter().map(Vec::len).sum();
         prop_assert_eq!(packed.total_entries(), entries);

@@ -374,11 +374,14 @@ pub mod prelude {
     pub use crate as prop;
 }
 
-/// Declares deterministic property tests.
+/// Declares deterministic property tests. As with the original crate, each
+/// property carries its own `#[test]` attribute; the macro passes
+/// attributes through and adds none, so a property is registered once.
 ///
 /// ```ignore
 /// proptest! {
 ///     #![proptest_config(ProptestConfig::with_cases(64))]
+///     #[test]
 ///     fn addition_commutes(a in 0u32..1000, b in 0u32..1000) {
 ///         prop_assert_eq!(a + b, b + a);
 ///     }
@@ -394,15 +397,15 @@ macro_rules! proptest {
     };
 }
 
-/// Implementation detail of [`proptest!`]: expands each property fn into a
-/// `#[test]` running the configured number of deterministic cases.
+/// Implementation detail of [`proptest!`]: expands each property fn, with
+/// its own attributes (`#[test]` among them), into a fn running the
+/// configured number of deterministic cases.
 #[doc(hidden)]
 #[macro_export]
 macro_rules! __proptest_impl {
     (($cfg:expr); ) => {};
     (($cfg:expr); $(#[$meta:meta])* fn $name:ident($($pat:pat in $strat:expr),+ $(,)?) $body:block $($rest:tt)*) => {
         $(#[$meta])*
-        #[test]
         fn $name() {
             let __config = $cfg;
             let __name = concat!(module_path!(), "::", stringify!($name));
@@ -418,6 +421,7 @@ macro_rules! __proptest_impl {
                     ::std::result::Result::Ok(()) => {}
                     ::std::result::Result::Err($crate::test_runner::TestCaseError::Reject(_)) => {}
                     ::std::result::Result::Err($crate::test_runner::TestCaseError::Fail(__msg)) => {
+                        // xtask-allow: no-panic (a failing property fails its test by panicking)
                         ::std::panic!(
                             "property {} failed at deterministic case {}/{}: {}",
                             __name,
@@ -523,6 +527,7 @@ mod tests {
 
         /// Ranges, tuples, vec, prop_map, and any all generate in-domain
         /// values, and the macros thread through.
+        #[test]
         fn shim_surface_works(
             a in 0usize..10,
             b in -5i64..5,
@@ -543,6 +548,7 @@ mod tests {
         }
 
         /// The same name and case index always draw the same values.
+        #[test]
         fn generation_is_deterministic(seed in any::<u64>()) {
             let mut g1 = crate::strategy::Gen::for_case("x", seed);
             let mut g2 = crate::strategy::Gen::for_case("x", seed);
