@@ -1327,4 +1327,139 @@ mod tests {
         }
         panic!("server socket never came up");
     }
+
+    /// The register arena of the fixture network, written to a scratch
+    /// file; returns the path and the in-memory arena.
+    fn approx_arena_file(tag: &str) -> (PathBuf, FrozenApproxOracle) {
+        let net = InteractionNetwork::from_triples(
+            (0..60u32).map(|i| (i % 11, (i * 5 + 2) % 11, i64::from(i / 2))),
+        );
+        let frozen = crate::ApproxIrs::compute_with_precision(&net, Window(8), 7).freeze();
+        let dir = std::env::temp_dir().join(format!("infprop-serve-{tag}-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("approx.arena");
+        let mut bytes = Vec::new();
+        frozen.write_to(&mut bytes).unwrap();
+        fs::write(&path, &bytes).unwrap();
+        (path, frozen)
+    }
+
+    #[test]
+    fn served_register_arena_answers_bit_identically() {
+        let (path, frozen) = approx_arena_file("ipfa");
+        let oracle = ServedOracle::open_recorded(&path, &NoopRecorder).unwrap();
+        assert!(matches!(oracle, ServedOracle::FrozenApprox(_)));
+        assert_eq!(
+            oracle.describe(),
+            format!(
+                "IPFA frozen register arena ({} nodes, precision 7)",
+                frozen.num_nodes()
+            )
+        );
+        let sets = vec![
+            vec![NodeId(0), NodeId(3)],
+            vec![],
+            (0..11).map(NodeId).collect(),
+            vec![NodeId(4), NodeId(4)],
+            vec![NodeId(9)],
+        ];
+        let expected = frozen.influence_many_frozen(&sets, 1);
+        let served = vec![oracle];
+        let (resp, _) = answer_frame(
+            &served,
+            &encode_influence(0, &sets),
+            2,
+            &NoopRecorder,
+            NoopTracer,
+        );
+        let got = decode_influence_response(&resp).unwrap();
+        assert_eq!(
+            got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            expected.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        );
+        // Sketches store no explicit summary entries.
+        let (resp, _) = answer_frame(
+            &served,
+            &encode_summary(0, NodeId(3)),
+            1,
+            &NoopRecorder,
+            NoopTracer,
+        );
+        let reply = decode_summary_response(&resp).unwrap();
+        assert_eq!(
+            reply.individual.to_bits(),
+            frozen.individual(NodeId(3)).to_bits()
+        );
+        assert_eq!(reply.entries, None);
+        let _ = fs::remove_dir_all(path.parent().unwrap());
+    }
+
+    #[test]
+    fn open_rejects_corrupt_old_and_unknown_arena_files() {
+        let (path, frozen) = approx_arena_file("reject");
+        let good = fs::read(&path).unwrap();
+        // A flipped stored estimate passes the structural load and fails
+        // the deep validation every served file gets.
+        let individuals = good.len() - 8 * frozen.num_nodes();
+        let mut bad = good.clone();
+        bad[individuals] ^= 1;
+        fs::write(&path, &bad).unwrap();
+        assert!(matches!(
+            ServedOracle::open_recorded(&path, &NoopRecorder),
+            Err(CodecError::Corrupt(
+                "frozen register arena violates its invariants"
+            ))
+        ));
+        let mut old = good.clone();
+        old[4] = 3;
+        fs::write(&path, &old).unwrap();
+        assert!(matches!(
+            ServedOracle::open_recorded(&path, &NoopRecorder),
+            Err(CodecError::BadVersion(3))
+        ));
+        let mut unknown = good;
+        unknown[..4].copy_from_slice(b"IPXX");
+        fs::write(&path, &unknown).unwrap();
+        assert!(matches!(
+            ServedOracle::open_recorded(&path, &NoopRecorder),
+            Err(CodecError::BadMagic)
+        ));
+        let _ = fs::remove_dir_all(path.parent().unwrap());
+    }
+
+    #[test]
+    fn served_layered_approx_directory_answers_bit_identically() {
+        let net = InteractionNetwork::from_triples(
+            (0..50u32).map(|i| (i % 9, (i * 4 + 1) % 9, i64::from(i))),
+        );
+        let mut layered = LayeredApproxOracle::from_network_with_precision(&net, Window(10), 6);
+        layered
+            .append(infprop_temporal_graph::Interaction::from_raw(2, 12, 60))
+            .unwrap();
+        let dir =
+            std::env::temp_dir().join(format!("infprop-serve-layered-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        layered.save_layered(&dir).unwrap();
+        layered.refresh();
+        let oracle = ServedOracle::open_recorded(&dir, &NoopRecorder).unwrap();
+        assert!(matches!(oracle, ServedOracle::LayeredApprox(_)));
+        assert_eq!(oracle.num_nodes(), 13);
+        let sets = vec![vec![NodeId(2)], vec![NodeId(12), NodeId(0)], vec![]];
+        let expected = layered.influence_many_frozen(&sets, 1);
+        let served = vec![oracle];
+        let (resp, _) = answer_frame(
+            &served,
+            &encode_influence(0, &sets),
+            1,
+            &NoopRecorder,
+            NoopTracer,
+        );
+        let got = decode_influence_response(&resp).unwrap();
+        assert_eq!(
+            got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            expected.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
 }
