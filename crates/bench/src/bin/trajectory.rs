@@ -338,7 +338,7 @@ fn run_profile(
     let recorded_frozen = recorded_approx.freeze_recorded(&rec);
     let _ = recorded_exact.oracle().individuals_recorded(1, &rec);
     let _ = recorded_frozen.influence_many_recorded(&queries, 2, &rec);
-    let _ = recorded_frozen.influence_many_frozen_recorded(&queries, 2, &rec);
+    let _ = recorded_frozen.influence_many_frozen_traced(&queries, 2, &rec, NoopTracer);
     let metrics_json = rec.snapshot().to_json();
 
     ProfileReport {

@@ -12,10 +12,10 @@ use infprop_core::trace::{SpanId, TraceEvent, TraceId};
 use infprop_core::{
     attribution, find_channel, greedy_top_k_threads, greedy_top_k_traced, trace_to_json,
     validate_trace_json, ApproxIrs, ApproxOracle, ExactIrs, FlightRecorder, FrozenApproxOracle,
-    FrozenExactOracle, HeapBytes, InfluenceOracle, LaneTracer, LayeredApproxOracle,
-    LayeredExactOracle, LayeredKind, LayeredManifest, MetricsRecorder, NoopRecorder, NoopTracer,
-    Recorder, RingTracer, Selection, Tracer, DEFAULT_PRECISION, FROZEN_APPROX_LAYOUT_VERSION,
-    FROZEN_EXACT_LAYOUT_VERSION,
+    FrozenExactOracle, FrozenLayer, HeapBytes, InfluenceOracle, LaneTracer, Layered,
+    LayeredApproxOracle, LayeredExactOracle, LayeredKind, LayeredManifest, MetricsRecorder,
+    NoopRecorder, NoopTracer, Recorder, RingTracer, Selection, Tracer, DEFAULT_PRECISION,
+    FROZEN_APPROX_LAYOUT_VERSION, FROZEN_EXACT_LAYOUT_VERSION,
 };
 use infprop_datasets::profiles;
 use infprop_diffusion::{tcic_spread, tclt_spread, LtWeights, TcicConfig};
@@ -730,22 +730,10 @@ pub fn append(args: &ParsedArgs) -> CmdResult {
     let sp = begin_root(tracer.as_ref(), TraceEvent::AppendBatch);
     let (generation, pending) = match manifest.kind {
         LayeredKind::Exact => {
-            let mut oracle = LayeredExactOracle::open_layered(dir_path)?;
-            match &recorder {
-                Some(rec) => oracle.append_batch_recorded(&batch, rec)?,
-                None => oracle.append_batch_recorded(&batch, &NoopRecorder)?,
-            }
-            oracle.persist_pending(dir_path)?;
-            (oracle.generation(), oracle.delta().pending().len())
+            append_layered::<FrozenExactOracle>(dir_path, &batch, recorder.as_ref())?
         }
         LayeredKind::Approx => {
-            let mut oracle = LayeredApproxOracle::open_layered(dir_path)?;
-            match &recorder {
-                Some(rec) => oracle.append_batch_recorded(&batch, rec)?,
-                None => oracle.append_batch_recorded(&batch, &NoopRecorder)?,
-            }
-            oracle.persist_pending(dir_path)?;
-            (oracle.generation(), oracle.delta().pending().len())
+            append_layered::<FrozenApproxOracle>(dir_path, &batch, recorder.as_ref())?
         }
     };
     end_root(sp, TraceEvent::AppendBatch, metric_u64(batch.len()));
@@ -760,6 +748,23 @@ pub fn append(args: &ParsedArgs) -> CmdResult {
         emit_trace(args, ring)?;
     }
     Ok(())
+}
+
+/// Opens the layered directory `dir`, buffers `batch` into its pending log
+/// and rewrites `gen-N.pending`. Returns the generation and the pending
+/// count.
+fn append_layered<B: FrozenLayer>(
+    dir: &Path,
+    batch: &[Interaction],
+    recorder: Option<&MetricsRecorder>,
+) -> Result<(u64, usize), Box<dyn Error>> {
+    let mut oracle = Layered::<B>::open_layered(dir)?;
+    match recorder {
+        Some(rec) => oracle.append_batch_recorded(batch, rec)?,
+        None => oracle.append_batch_recorded(batch, &NoopRecorder)?,
+    }
+    oracle.persist_pending(dir)?;
+    Ok((oracle.generation(), oracle.delta().pending().len()))
 }
 
 /// `infprop compact <dir> [--metrics] [--metrics-out PATH]`
@@ -777,30 +782,10 @@ pub fn compact(args: &ParsedArgs) -> CmdResult {
     let manifest = LayeredManifest::read_from_dir(dir_path)?;
     let (generation, expired, tail) = match manifest.kind {
         LayeredKind::Exact => {
-            let mut oracle = LayeredExactOracle::open_layered(dir_path)?;
-            let before = oracle.delta().log().len();
-            match (&recorder, &tracer) {
-                (Some(rec), Some(r)) => oracle.compact_traced(rec, r.lane(0)),
-                (Some(rec), None) => oracle.compact_recorded(rec),
-                (None, Some(r)) => oracle.compact_traced(&NoopRecorder, r.lane(0)),
-                (None, None) => oracle.compact(),
-            }
-            oracle.save_layered(dir_path)?;
-            let tail = oracle.delta().tail().len();
-            (oracle.generation(), before - tail, tail)
+            compact_layered::<FrozenExactOracle>(dir_path, recorder.as_ref(), tracer.as_ref())?
         }
         LayeredKind::Approx => {
-            let mut oracle = LayeredApproxOracle::open_layered(dir_path)?;
-            let before = oracle.delta().log().len();
-            match (&recorder, &tracer) {
-                (Some(rec), Some(r)) => oracle.compact_traced(rec, r.lane(0)),
-                (Some(rec), None) => oracle.compact_recorded(rec),
-                (None, Some(r)) => oracle.compact_traced(&NoopRecorder, r.lane(0)),
-                (None, None) => oracle.compact(),
-            }
-            oracle.save_layered(dir_path)?;
-            let tail = oracle.delta().tail().len();
-            (oracle.generation(), before - tail, tail)
+            compact_layered::<FrozenApproxOracle>(dir_path, recorder.as_ref(), tracer.as_ref())?
         }
     };
     println!(
@@ -813,6 +798,27 @@ pub fn compact(args: &ParsedArgs) -> CmdResult {
         emit_trace(args, ring)?;
     }
     Ok(())
+}
+
+/// Opens the layered directory `dir`, compacts it and saves the next
+/// generation. Returns the generation, the expired interaction count and
+/// the tail length.
+fn compact_layered<B: FrozenLayer>(
+    dir: &Path,
+    recorder: Option<&MetricsRecorder>,
+    tracer: Option<&RingTracer>,
+) -> Result<(u64, usize, usize), Box<dyn Error>> {
+    let mut oracle = Layered::<B>::open_layered(dir)?;
+    let before = oracle.delta().log().len();
+    match (recorder, tracer) {
+        (Some(rec), Some(r)) => oracle.compact_traced(rec, r.lane(0)),
+        (Some(rec), None) => oracle.compact_traced(rec, NoopTracer),
+        (None, Some(r)) => oracle.compact_traced(&NoopRecorder, r.lane(0)),
+        (None, None) => oracle.compact(),
+    }
+    oracle.save_layered(dir)?;
+    let tail = oracle.delta().tail().len();
+    Ok((oracle.generation(), before - tail, tail))
 }
 
 /// One loaded oracle of any supported on-disk format, unified for the
@@ -903,16 +909,16 @@ impl LoadedOracle {
         match rec {
             Some(rec) => match self {
                 LoadedOracle::FrozenExact(v) => {
-                    v.influence_many_frozen_recorded(seed_sets, threads, rec)
+                    v.influence_many_frozen_traced(seed_sets, threads, rec, NoopTracer)
                 }
                 LoadedOracle::FrozenApprox(v) => {
-                    v.influence_many_frozen_recorded(seed_sets, threads, rec)
+                    v.influence_many_frozen_traced(seed_sets, threads, rec, NoopTracer)
                 }
                 LoadedOracle::LayeredExact(v) => {
-                    v.influence_many_frozen_recorded(seed_sets, threads, rec)
+                    v.influence_many_frozen_traced(seed_sets, threads, rec, NoopTracer)
                 }
                 LoadedOracle::LayeredApprox(v) => {
-                    v.influence_many_frozen_recorded(seed_sets, threads, rec)
+                    v.influence_many_frozen_traced(seed_sets, threads, rec, NoopTracer)
                 }
                 live => seed_sets
                     .iter()

@@ -186,13 +186,7 @@ impl ApproxIrs {
     /// [`ExactIrs::layered`](crate::ExactIrs::layered). `net` must be the
     /// network this IRS was computed from.
     pub fn layered(&self, net: &InteractionNetwork) -> crate::LayeredApproxOracle {
-        let base = self.freeze();
-        let frontier = net.interactions().last().map(|i| i.time);
-        let tail = match frontier {
-            Some(f) => crate::delta::window_tail(net.interactions(), f, self.window),
-            None => Vec::new(),
-        };
-        crate::LayeredApproxOracle::from_parts(base, self.window, frontier, tail, Vec::new(), 0)
+        crate::Layered::from_base(self.freeze(), net, self.window)
     }
 
     /// Checks the dominance-chain invariant of every sketch (register lists

@@ -10,14 +10,16 @@
 //!   frontier of the base arena) in an append log, together with the
 //!   *window tail* of the base history — the suffix of already-frozen
 //!   interactions that can still combine with future ones.
-//! * [`LayeredExactOracle`] / [`LayeredApproxOracle`] answer every
-//!   [`InfluenceOracle`] query from `base ⊕ overlay`, where the overlay is
-//!   a small frozen arena rebuilt from the delta log on
-//!   [`refresh`](LayeredExactOracle::refresh).
-//! * [`compact`](LayeredExactOracle::compact) re-runs the one-pass
-//!   [`ReversePassEngine`] over the delta log (minus expired entries) into
-//!   a **fresh base arena** — an LSM-style re-freeze that starts the next
-//!   generation with an empty pending log.
+//! * [`Layered`] answers every [`InfluenceOracle`] query from
+//!   `base ⊕ overlay`, where the overlay is a small frozen arena rebuilt
+//!   from the delta log on [`refresh`](Layered::refresh).
+//!   [`LayeredExactOracle`] and [`LayeredApproxOracle`] are its two
+//!   instances; what differs between them is what the arena supplies
+//!   through [`FrozenLayer`].
+//! * [`compact`](Layered::compact) re-runs the one-pass
+//!   [`ReversePassEngine`](crate::ReversePassEngine) over the delta log
+//!   (minus expired entries) into a **fresh base arena** — an LSM-style
+//!   re-freeze that starts the next generation with an empty pending log.
 //!
 //! # Why the layering is exact
 //!
@@ -51,15 +53,19 @@
 //! interactions with the same node universe (the universe never shrinks).
 
 use crate::approx::DEFAULT_PRECISION;
+use crate::arena::ArenaBytes;
 use crate::engine::{ExactStore, ReversePassEngine, SummaryStore, VhllStore};
 use crate::frozen::{EntriesSlice, FrozenApproxOracle, FrozenExactOracle};
 use crate::kernel::{self, rows_exceed, SparseRow};
 use crate::obs::{metric_u64, Counter, Gauge, HeapBytes, Hist, NoopRecorder, Recorder, Span};
-use crate::oracle::{InfluenceOracle, NodeBitset};
+use crate::oracle::{influence_batch, BatchQuery, InfluenceOracle, NodeBitset};
+use crate::persist::LayeredKind;
 use crate::trace::{NoopTracer, SpanId, TraceEvent, TraceId, Tracer};
-use infprop_hll::HyperLogLog;
+use crate::{ApproxIrs, ExactIrs};
+use infprop_hll::{CodecError, HyperLogLog};
 use infprop_temporal_graph::{Interaction, InteractionNetwork, NodeId, Timestamp, Window};
 use std::fmt;
+use std::path::Path;
 
 /// An append moved backwards in time: layered oracles only accept
 /// interactions at or after the current [frontier](DeltaOverlay::frontier)
@@ -379,84 +385,155 @@ fn merged_exact_for_each(
     }
 }
 
-/// An exact influence oracle layered as `frozen base arena ⊕ delta
-/// overlay`.
+/// A frozen arena that can serve as both layers of a [`Layered`] oracle.
 ///
-/// Queries merge the two frozen arenas entry-wise (see the module docs for
-/// why the merge is bit-identical to a from-scratch rebuild). Appends
-/// buffer into the [`DeltaOverlay`] and mark the oracle
+/// The exact and the vHLL layered oracles share their whole lifecycle —
+/// append, refresh, compaction, batch queries and the directory codec —
+/// and differ only in what this trait supplies: the live store their
+/// overlay and compactions rebuild into, how that store freezes, the
+/// window the arena stores, what a refresh derives from both layers, and
+/// the two-layer merge rule that every [`InfluenceOracle`] method of the
+/// layered oracle reads through. The merge rule keeps the per-target
+/// **minimum end time** of exact summaries and the per-cell **maximum ρ**
+/// of vHLL registers; the module docs show why either is bit-identical to
+/// a from-scratch arena.
+pub trait FrozenLayer: InfluenceOracle + HeapBytes + Clone + Sync {
+    /// The live summary store the overlay and compaction passes build into.
+    type Store: SummaryStore + HeapBytes + Sync;
+
+    /// The manifest kind of a layered directory over this arena.
+    const KIND: LayeredKind;
+
+    /// Freezes a finished store built under `window`.
+    fn freeze_store(store: &Self::Store, window: Window) -> Self;
+
+    /// An empty store with this arena's backend parameters (the sketch
+    /// precision): the one store every rebuild of a layered oracle runs
+    /// through.
+    fn empty_store(&self) -> Self::Store;
+
+    /// The window stored in the arena's image, where its format carries one
+    /// (IPFE does, IPFA does not).
+    fn stored_window(&self) -> Option<Window>;
+
+    /// The arena's image: the bytes of a layered directory's `gen-N.arena`.
+    fn image(&self) -> &ArenaBytes;
+
+    /// Loads a `gen-N.arena` file and checks every invariant a query on it
+    /// relies on.
+    fn load_checked(path: &Path) -> Result<Self, CodecError>;
+
+    /// What a refresh derives from both layers: the per-node estimates of
+    /// the merged rows where an estimate cannot be read off the two layers
+    /// directly (vHLL), nothing for exact.
+    fn merged_individuals(base: &Self, overlay: &Self) -> Vec<f64>;
+
+    /// An empty union covering `layered`'s universe.
+    fn layered_union(layered: &Layered<Self>) -> Self::Union;
+
+    /// `Inf(seeds)` over both layers. The default absorbs every seed into a
+    /// fresh union.
+    fn layered_influence(layered: &Layered<Self>, seeds: &[NodeId]) -> f64 {
+        let mut union = Self::layered_union(layered);
+        for &s in seeds {
+            Self::layered_absorb(layered, &mut union, s);
+        }
+        layered.union_size(&union)
+    }
+
+    /// Folds both layers' rows of `node` into `union`.
+    fn layered_absorb(layered: &Layered<Self>, union: &mut Self::Union, node: NodeId);
+
+    /// `|union ∪ σω(node)| − |union|` over the merged row of `node`.
+    fn layered_marginal_gain(layered: &Layered<Self>, union: &Self::Union, node: NodeId) -> f64;
+
+    /// `|σω(node)|` over the merged row of `node`.
+    fn layered_individual(layered: &Layered<Self>, node: NodeId) -> f64;
+}
+
+/// An influence oracle layered as `frozen base arena ⊕ delta overlay`,
+/// over either frozen arena ([`FrozenLayer`]).
+///
+/// Queries merge the two frozen layers through the arena's merge rule (see
+/// the module docs for why the merge is bit-identical to a from-scratch
+/// rebuild). Appends buffer into the [`DeltaOverlay`] and mark the oracle
 /// [stale](Self::is_stale); an explicit [`refresh`](Self::refresh) folds
 /// them into the overlay arena — until then queries answer as of the last
-/// refresh.
+/// refresh. Both layers of a vHLL oracle are sparse IPFA v4 arenas, so a
+/// refresh's overlay costs 12 bytes per node (offset and estimate) plus the
+/// pairs of the rows the log touched.
 #[derive(Clone)]
-pub struct LayeredExactOracle {
-    base: FrozenExactOracle,
-    delta: DeltaOverlay<ExactStore>,
-    overlay: FrozenExactOracle,
+pub struct Layered<B: FrozenLayer> {
+    base: B,
+    delta: DeltaOverlay<B::Store>,
+    overlay: B,
+    /// What the last refresh derived from both layers
+    /// ([`FrozenLayer::merged_individuals`]): the merged per-node estimates
+    /// of a vHLL oracle, empty for exact.
+    individuals: Vec<f64>,
     generation: u64,
     stale: bool,
 }
 
-impl LayeredExactOracle {
-    /// Builds the base arena from `net` and seeds the delta with its
-    /// window tail, ready for forward appends.
-    pub fn from_network(net: &InteractionNetwork, window: Window) -> Self {
-        Self::from_network_recorded(net, window, &NoopRecorder)
-    }
+/// An exact influence oracle layered as `frozen base arena ⊕ delta
+/// overlay`: queries merge the two layers' summaries entry-wise, keeping
+/// the per-target minimum end time.
+pub type LayeredExactOracle = Layered<FrozenExactOracle>;
 
-    /// [`from_network`](Self::from_network) with engine metrics reporting
-    /// into `rec`.
-    pub fn from_network_recorded<R: Recorder>(
-        net: &InteractionNetwork,
-        window: Window,
-        rec: &R,
-    ) -> Self {
-        let store = ReversePassEngine::run_recorded(
-            net,
-            window,
-            ExactStore::with_nodes(net.num_nodes()),
-            rec,
-        );
-        let base = store.freeze(window);
+/// A sketch-based influence oracle layered as `frozen base arena ⊕ delta
+/// overlay`: queries max-merge each seed's base and overlay registers into
+/// the tile kernel of [`FrozenApproxOracle`], so the estimator reads the
+/// same registers, in the same order, as from a from-scratch arena.
+pub type LayeredApproxOracle = Layered<FrozenApproxOracle>;
+
+impl<B: FrozenLayer> Layered<B> {
+    /// Wraps `base`, frozen from the whole of `net` under `window`, and
+    /// seeds the delta with the window tail of `net` (the suffix still
+    /// inside `ω` of its last interaction), so forward appends can combine
+    /// with frozen history.
+    pub(crate) fn from_base(base: B, net: &InteractionNetwork, window: Window) -> Self {
         let frontier = net.interactions().last().map(|i| i.time);
-        let tail = match frontier {
-            Some(f) => window_tail(net.interactions(), f, window),
-            None => Vec::new(),
-        };
-        Self::from_parts(base, frontier, tail, Vec::new(), 0)
+        let tail = frontier.map_or_else(Vec::new, |f| window_tail(net.interactions(), f, window));
+        Self::from_parts(base, window, frontier, tail, Vec::new(), 0)
     }
 
     /// Reassembles a layered oracle from persisted parts: the frozen base
-    /// arena, its frontier, the window tail retained at freeze time, the
-    /// pending appends, and the compaction generation.
+    /// arena, the window, the base frontier, the window tail retained at
+    /// freeze time, the pending appends, and the compaction generation.
     ///
     /// `tail ++ pending` must be ascending in time; the tail must be the
-    /// base suffix within the window of `base_frontier`.
+    /// base suffix within the window of `base_frontier`, and `window` must
+    /// be the one the base was built under.
     pub fn from_parts(
-        base: FrozenExactOracle,
+        base: B,
+        window: Window,
         base_frontier: Option<Timestamp>,
         tail: Vec<Interaction>,
         pending: Vec<Interaction>,
         generation: u64,
     ) -> Self {
-        let window = base.window();
-        let min_nodes = InfluenceOracle::num_nodes(&base);
+        debug_assert!(
+            base.stored_window().is_none_or(|w| w == window),
+            "the base arena was built under another window"
+        );
         let mut log = tail;
         let tail_len = log.len();
         log.extend(pending);
         let mut delta = DeltaOverlay::from_log(
             window,
-            min_nodes,
+            InfluenceOracle::num_nodes(&base),
             base_frontier,
             log,
             tail_len,
-            ExactStore::with_nodes(0),
+            base.empty_store(),
         );
-        let overlay = delta.build_overlay_recorded(&NoopRecorder).freeze(window);
-        LayeredExactOracle {
+        let overlay = B::freeze_store(delta.build_overlay_recorded(&NoopRecorder), window);
+        let individuals = B::merged_individuals(&base, &overlay);
+        Layered {
             base,
             delta,
             overlay,
+            individuals,
             generation,
             stale: false,
         }
@@ -485,17 +562,17 @@ impl LayeredExactOracle {
     }
 
     /// The frozen base arena of the current generation.
-    pub fn base(&self) -> &FrozenExactOracle {
+    pub fn base(&self) -> &B {
         &self.base
     }
 
     /// The frozen overlay arena of the last refresh.
-    pub fn overlay(&self) -> &FrozenExactOracle {
+    pub fn overlay(&self) -> &B {
         &self.overlay
     }
 
     /// The delta buffer (window tail + pending appends).
-    pub fn delta(&self) -> &DeltaOverlay<ExactStore> {
+    pub fn delta(&self) -> &DeltaOverlay<B::Store> {
         &self.delta
     }
 
@@ -536,8 +613,9 @@ impl LayeredExactOracle {
         Ok(())
     }
 
-    /// Rebuilds the overlay arena from the delta log, folding in every
-    /// pending append. Queries afterwards see the full appended history.
+    /// Rebuilds the overlay arena (and what the arena derives from both
+    /// layers) from the delta log, folding in every pending append. Queries
+    /// afterwards see the full appended history.
     pub fn refresh(&mut self) {
         self.refresh_recorded(&NoopRecorder);
     }
@@ -547,7 +625,8 @@ impl LayeredExactOracle {
     pub fn refresh_recorded<R: Recorder>(&mut self, rec: &R) {
         let t0 = rec.span_start();
         let window = self.delta.window();
-        self.overlay = self.delta.build_overlay_recorded(rec).freeze(window);
+        self.overlay = B::freeze_store(self.delta.build_overlay_recorded(rec), window);
+        self.individuals = B::merged_individuals(&self.base, &self.overlay);
         self.stale = false;
         if R::ENABLED {
             rec.add(Counter::DeltaRefreshes, 1);
@@ -566,22 +645,18 @@ impl LayeredExactOracle {
     /// over the surviving interactions with the same node universe; see
     /// the module docs for the retained-window semantics.
     pub fn compact(&mut self) {
-        self.compact_recorded(&NoopRecorder);
+        self.compact_traced(&NoopRecorder, NoopTracer);
     }
 
-    /// [`compact`](Self::compact) timed under the `compaction.run` span,
-    /// counting expired interactions and the surviving input size, and
-    /// publishing the new generation to the `compaction.generation` gauge.
-    pub fn compact_recorded<R: Recorder>(&mut self, rec: &R) {
-        self.compact_traced(rec, NoopTracer);
-    }
-
-    /// [`compact_recorded`](Self::compact_recorded) with causal tracing:
-    /// the whole compaction is one `compact.run` trace whose tree nests a
+    /// [`compact`](Self::compact) with a recorder and a tracer attached.
+    /// The recorder times the whole compaction under the `compaction.run`
+    /// span, counts expired interactions and the surviving input size, and
+    /// publishes the new generation to the `compaction.generation` gauge.
+    /// The tracer sees one `compact.run` trace whose tree nests a
     /// `compact.rebuild` span (the survivors' engine pass, with its
     /// `build.reverse_scan` child) and an `overlay.refresh` span (the
-    /// post-roll overlay rebuild). Payloads carry the surviving input size
-    /// and pending-append counts.
+    /// post-roll overlay rebuild); payloads carry the surviving input size
+    /// and the tail length.
     pub fn compact_traced<R: Recorder, T: Tracer>(&mut self, rec: &R, tracer: T) {
         let trace = TraceId(if T::ENABLED {
             tracer.alloc_traces(1)
@@ -601,10 +676,10 @@ impl LayeredExactOracle {
         }
         let rb = tracer.begin(trace, sp, TraceEvent::CompactRebuild);
         let window = self.delta.window();
-        self.base = self
+        let store = self
             .delta
-            .build_slice_traced(cut, universe, rec, tracer, trace, rb)
-            .freeze(window);
+            .build_slice_traced(cut, universe, rec, tracer, trace, rb);
+        self.base = B::freeze_store(store, window);
         tracer.end(rb, TraceEvent::CompactRebuild, metric_u64(survivors));
         self.delta.roll_base(new_frontier, cut, universe);
         self.generation += 1;
@@ -620,6 +695,43 @@ impl LayeredExactOracle {
         );
         rec.span_end(Span::CompactionRun, t0);
         tracer.end(sp, TraceEvent::CompactRun, metric_u64(survivors));
+    }
+
+    /// True batch query over the layered merge: `Inf(S_i)` for every seed
+    /// set, fanned out over up to `threads` workers. Answers are
+    /// bit-identical to mapping [`InfluenceOracle::influence`] over the
+    /// sets in order; the batch amortizes per-query setup by reusing one
+    /// union and one seed-dedup buffer per worker (the union merge is
+    /// idempotent, so deduplicated seeds answer identically with each row
+    /// absorbed once).
+    pub fn influence_many_frozen(&self, seed_sets: &[Vec<NodeId>], threads: usize) -> Vec<f64> {
+        self.influence_many_frozen_traced(seed_sets, threads, &NoopRecorder, NoopTracer)
+    }
+
+    /// [`influence_many_frozen`](Self::influence_many_frozen) with a
+    /// recorder and a tracer attached, instrumented like
+    /// [`FrozenExactOracle::influence_many_frozen_traced`]: per-query
+    /// latencies in `kernel.query_ns`, merged-row counts in
+    /// `kernel.merge_rows`, the batch in the `oracle.query_batch` span, and
+    /// one `query.batch` trace span with a `query.element` span (own trace
+    /// id, deduplicated seed-row count as payload) per element. Answers
+    /// stay bit-identical with any recorder and tracer.
+    pub fn influence_many_frozen_traced<R: Recorder, T: Tracer>(
+        &self,
+        seed_sets: &[Vec<NodeId>],
+        threads: usize,
+        rec: &R,
+        tracer: T,
+    ) -> Vec<f64> {
+        influence_batch(self, seed_sets, threads, rec, tracer)
+    }
+}
+
+impl Layered<FrozenExactOracle> {
+    /// Builds the base arena from `net` and seeds the delta with its
+    /// window tail, ready for forward appends.
+    pub fn from_network(net: &InteractionNetwork, window: Window) -> Self {
+        ExactIrs::compute(net, window).layered(net)
     }
 
     /// Entries of `φω(u)` as answered by the layered merge, sorted by
@@ -639,87 +751,6 @@ impl LayeredExactOracle {
         merged_exact_for_each(self.base_summary(u), self.overlay_summary(u), |v, t| {
             out.push((v, t));
         });
-        out
-    }
-
-    /// True batch query over the layered merge: `Inf(S_i)` for every seed
-    /// set, fanned out over up to `threads` workers. Answers are
-    /// bit-identical to mapping [`InfluenceOracle::influence`] over the
-    /// sets in order; the batch amortizes per-query setup by reusing one
-    /// union bitset and one seed-dedup buffer per worker (insertion is
-    /// idempotent, so deduplicated seeds answer identically with each
-    /// summary absorbed once).
-    pub fn influence_many_frozen(&self, seed_sets: &[Vec<NodeId>], threads: usize) -> Vec<f64> {
-        self.influence_many_frozen_recorded(seed_sets, threads, &NoopRecorder)
-    }
-
-    /// [`influence_many_frozen`](Self::influence_many_frozen) with
-    /// instrumentation: per-query latencies land in `kernel.query_ns`,
-    /// merged-row counts in `kernel.merge_rows`, the whole batch in the
-    /// `oracle.query_batch` span. Answers are identical to the unrecorded
-    /// path.
-    pub fn influence_many_frozen_recorded<R: Recorder>(
-        &self,
-        seed_sets: &[Vec<NodeId>],
-        threads: usize,
-        rec: &R,
-    ) -> Vec<f64> {
-        self.influence_many_frozen_traced(seed_sets, threads, rec, NoopTracer)
-    }
-
-    /// [`influence_many_frozen_recorded`](Self::influence_many_frozen_recorded)
-    /// with causal tracing: one `query.batch` span plus a `query.element`
-    /// span per element (a [`Tracer::lap`] chain — one ring record and one
-    /// clock read each), each element with its own trace id (consecutive in
-    /// seed-set order) and the deduplicated seed-row count as payload.
-    /// Answers are bit-identical with any tracer.
-    pub fn influence_many_frozen_traced<R: Recorder, T: Tracer>(
-        &self,
-        seed_sets: &[Vec<NodeId>],
-        threads: usize,
-        rec: &R,
-        tracer: T,
-    ) -> Vec<f64> {
-        let t0 = rec.span_start();
-        let base = if T::ENABLED {
-            tracer.alloc_traces(metric_u64(seed_sets.len()) + 1)
-        } else {
-            0
-        };
-        let batch_span = tracer.begin(TraceId(base), SpanId::NONE, TraceEvent::QueryBatch);
-        let out = crate::par::map_ranges_with_recorded(
-            seed_sets.len(),
-            1,
-            threads,
-            || (self.empty_union(), Vec::new(), tracer.worker()),
-            |(union, dedup, tr), range| {
-                let mut part = Vec::with_capacity(range.len());
-                tr.mark(TraceEvent::QueryElement);
-                for q in range {
-                    let tq = rec.span_start();
-                    dedup.clear();
-                    crate::oracle::push_deduped(&seed_sets[q], dedup);
-                    part.push(self.influence_into(dedup, union));
-                    tr.lap(
-                        TraceId(base + 1 + metric_u64(q)),
-                        batch_span,
-                        TraceEvent::QueryElement,
-                        metric_u64(dedup.len()),
-                    );
-                    if R::ENABLED {
-                        crate::oracle::record_batch_query(dedup.len(), tq, rec);
-                    }
-                }
-                part
-            },
-            rec,
-        );
-        tracer.end(
-            batch_span,
-            TraceEvent::QueryBatch,
-            metric_u64(seed_sets.len()),
-        );
-        crate::oracle::finish_batch_recorded(&out, t0, rec);
         out
     }
 
@@ -743,361 +774,26 @@ impl LayeredExactOracle {
     }
 }
 
-impl HeapBytes for LayeredExactOracle {
-    /// Base and overlay images, the delta log and the retained rebuild
-    /// store.
-    fn heap_bytes(&self) -> usize {
-        self.base.heap_bytes() + self.overlay.heap_bytes() + self.delta.heap_bytes()
-    }
-}
-
-impl InfluenceOracle for LayeredExactOracle {
-    type Union = NodeBitset;
-
-    fn num_nodes(&self) -> usize {
-        InfluenceOracle::num_nodes(&self.overlay).max(InfluenceOracle::num_nodes(&self.base))
-    }
-
-    fn empty_union(&self) -> Self::Union {
-        NodeBitset::with_nodes(self.num_nodes())
-    }
-
-    fn union_size(&self, union: &Self::Union) -> f64 {
-        union.len() as f64
-    }
-
-    // xtask-contract: alloc-free, kernel
-    fn absorb(&self, union: &mut Self::Union, node: NodeId) {
-        // Distinct-target union: layer order is irrelevant, so no merge
-        // walk is needed — both layers' targets just land in the bitset.
-        for (v, _) in self.base_summary(node).iter() {
-            union.insert(v.index());
-        }
-        for (v, _) in self.overlay_summary(node).iter() {
-            union.insert(v.index());
-        }
-    }
-
-    // xtask-contract: alloc-free, kernel
-    fn marginal_gain(&self, union: &Self::Union, node: NodeId) -> f64 {
-        let mut gain = 0usize;
-        merged_exact_for_each(
-            self.base_summary(node),
-            self.overlay_summary(node),
-            |v, _| {
-                if !union.contains(v.index()) {
-                    gain += 1;
-                }
-            },
-        );
-        gain as f64
-    }
-
-    // xtask-contract: alloc-free, kernel
-    fn individual(&self, node: NodeId) -> f64 {
-        let mut count = 0usize;
-        merged_exact_for_each(
-            self.base_summary(node),
-            self.overlay_summary(node),
-            |_, _| {
-                count += 1;
-            },
-        );
-        count as f64
-    }
-
-    fn reset_union(&self, union: &mut Self::Union) {
-        union.clear();
-    }
-}
-
-/// Per-node estimates over the register-wise maximum of the two layers —
-/// the same estimator (and summation order) a from-scratch arena
-/// precomputes at freeze time, so reads are bit-identical.
-///
-/// Only rows the log changed are re-estimated. Where one layer's row is
-/// register-wise at most the other's (an overlay row that is all-zero or
-/// holds only channels the base already covers, or a node with no base
-/// channels), the merged row *is* the other layer's row, whose estimate
-/// that arena already stored at freeze time. Comparing two rows is one
-/// merge walk over their sorted indices.
-fn merged_individuals(base: &FrozenApproxOracle, overlay: &FrozenApproxOracle) -> Vec<f64> {
-    let beta = 1usize << overlay.precision();
-    let base_n = InfluenceOracle::num_nodes(base);
-    let n = InfluenceOracle::num_nodes(overlay).max(base_n);
-    let mut out = Vec::with_capacity(n);
-    for u in 0..n {
-        let u = NodeId::from_index(u);
-        if u.index() >= base_n {
-            out.push(overlay.individual(u));
-            continue;
-        }
-        let (over_row, base_row) = (overlay.row(u), base.row(u));
-        let (over_above, base_above) = rows_exceed(over_row, base_row);
-        out.push(if !over_above {
-            base.individual(u)
-        } else if !base_above {
-            overlay.individual(u)
-        } else {
-            kernel::estimate_tiles(beta, |lo, block| {
-                over_row.max_into_tile(lo, block);
-                base_row.max_into_tile(lo, block);
-            })
-        });
-    }
-    out
-}
-
-/// A sketch-based influence oracle layered as `frozen base arena ⊕ delta
-/// overlay`.
-///
-/// Queries reuse the tile kernel of [`FrozenApproxOracle`]: each seed's
-/// base and overlay rows are max-merged tile by tile into one stack block
-/// streamed into the shared estimator — bit-identical to querying a
-/// from-scratch arena, because the merged registers *are* the
-/// from-scratch registers (see the module docs). Both layers are sparse
-/// IPFA v4 arenas, so a refresh's overlay costs 12 bytes per node (offset
-/// and estimate) plus the pairs of the rows the log touched.
-/// Append/refresh/compact mirror [`LayeredExactOracle`].
-#[derive(Clone)]
-pub struct LayeredApproxOracle {
-    base: FrozenApproxOracle,
-    delta: DeltaOverlay<VhllStore>,
-    overlay: FrozenApproxOracle,
-    /// Merged per-node estimates, recomputed on refresh (the frozen-arena
-    /// analog precomputes these at freeze time).
-    individuals: Vec<f64>,
-    generation: u64,
-    stale: bool,
-}
-
-impl LayeredApproxOracle {
+impl Layered<FrozenApproxOracle> {
     /// Builds the base arena from `net` at [`DEFAULT_PRECISION`] and seeds
     /// the delta with its window tail.
     pub fn from_network(net: &InteractionNetwork, window: Window) -> Self {
         Self::from_network_with_precision(net, window, DEFAULT_PRECISION)
     }
 
-    /// [`from_network`](Self::from_network) at an explicit sketch
-    /// precision.
+    /// Builds the base arena from `net` at sketch precision `precision`
+    /// and seeds the delta with its window tail.
     pub fn from_network_with_precision(
         net: &InteractionNetwork,
         window: Window,
         precision: u8,
     ) -> Self {
-        Self::from_network_with_precision_recorded(net, window, precision, &NoopRecorder)
-    }
-
-    /// [`from_network_with_precision`](Self::from_network_with_precision)
-    /// with engine metrics reporting into `rec`.
-    pub fn from_network_with_precision_recorded<R: Recorder>(
-        net: &InteractionNetwork,
-        window: Window,
-        precision: u8,
-        rec: &R,
-    ) -> Self {
-        let store = ReversePassEngine::run_recorded(
-            net,
-            window,
-            VhllStore::with_nodes(precision, net.num_nodes()),
-            rec,
-        );
-        let base = store.freeze();
-        let frontier = net.interactions().last().map(|i| i.time);
-        let tail = match frontier {
-            Some(f) => window_tail(net.interactions(), f, window),
-            None => Vec::new(),
-        };
-        Self::from_parts(base, window, frontier, tail, Vec::new(), 0)
-    }
-
-    /// Reassembles a layered oracle from persisted parts. Unlike the exact
-    /// arena the register arena does not carry the window, so it is passed
-    /// explicitly; everything else mirrors
-    /// [`LayeredExactOracle::from_parts`].
-    pub fn from_parts(
-        base: FrozenApproxOracle,
-        window: Window,
-        base_frontier: Option<Timestamp>,
-        tail: Vec<Interaction>,
-        pending: Vec<Interaction>,
-        generation: u64,
-    ) -> Self {
-        let min_nodes = InfluenceOracle::num_nodes(&base);
-        let precision = base.precision();
-        let mut log = tail;
-        let tail_len = log.len();
-        log.extend(pending);
-        let mut delta = DeltaOverlay::from_log(
-            window,
-            min_nodes,
-            base_frontier,
-            log,
-            tail_len,
-            VhllStore::with_nodes(precision, 0),
-        );
-        let overlay = delta.build_overlay_recorded(&NoopRecorder).freeze();
-        let individuals = merged_individuals(&base, &overlay);
-        LayeredApproxOracle {
-            base,
-            delta,
-            overlay,
-            individuals,
-            generation,
-            stale: false,
-        }
-    }
-
-    /// The channel window `ω`.
-    pub fn window(&self) -> Window {
-        self.delta.window()
+        ApproxIrs::compute_with_precision(net, window, precision).layered(net)
     }
 
     /// The sketch precision `k` (so `β = 2^k`).
     pub fn precision(&self) -> u8 {
         self.base.precision()
-    }
-
-    /// Compaction generation of the current base arena.
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// `true` when appends have not yet been folded into the overlay.
-    pub fn is_stale(&self) -> bool {
-        self.stale
-    }
-
-    /// Newest timestamp accepted so far (base or delta).
-    pub fn frontier(&self) -> Option<Timestamp> {
-        self.delta.frontier()
-    }
-
-    /// The frozen base arena of the current generation.
-    pub fn base(&self) -> &FrozenApproxOracle {
-        &self.base
-    }
-
-    /// The frozen overlay arena of the last refresh.
-    pub fn overlay(&self) -> &FrozenApproxOracle {
-        &self.overlay
-    }
-
-    /// The delta buffer (window tail + pending appends).
-    pub fn delta(&self) -> &DeltaOverlay<VhllStore> {
-        &self.delta
-    }
-
-    /// Buffers one forward-time interaction and marks the oracle stale.
-    pub fn append(&mut self, i: Interaction) -> Result<(), StaleAppend> {
-        self.append_recorded(i, &NoopRecorder)
-    }
-
-    /// [`append`](Self::append) counting into `delta.appends`.
-    pub fn append_recorded<R: Recorder>(
-        &mut self,
-        i: Interaction,
-        rec: &R,
-    ) -> Result<(), StaleAppend> {
-        self.delta.append(i)?;
-        self.stale = true;
-        if R::ENABLED {
-            rec.add(Counter::DeltaAppends, 1);
-            rec.gauge(Gauge::DeltaPending, metric_u64(self.delta.pending().len()));
-        }
-        Ok(())
-    }
-
-    /// Appends a time-sorted batch, recording its size into the
-    /// `delta.append_batch` histogram. Stops at (and returns) the first
-    /// stale interaction; earlier ones stay appended.
-    pub fn append_batch_recorded<R: Recorder>(
-        &mut self,
-        batch: &[Interaction],
-        rec: &R,
-    ) -> Result<(), StaleAppend> {
-        for &i in batch {
-            self.append_recorded(i, rec)?;
-        }
-        if R::ENABLED {
-            rec.record(Hist::DeltaAppendBatch, metric_u64(batch.len()));
-        }
-        Ok(())
-    }
-
-    /// Rebuilds the overlay arena (and the merged per-node estimates)
-    /// from the delta log, folding in every pending append.
-    pub fn refresh(&mut self) {
-        self.refresh_recorded(&NoopRecorder);
-    }
-
-    /// [`refresh`](Self::refresh) timed under the `delta.refresh` span,
-    /// with the tail/pending gauges updated.
-    pub fn refresh_recorded<R: Recorder>(&mut self, rec: &R) {
-        let t0 = rec.span_start();
-        self.overlay = self.delta.build_overlay_recorded(rec).freeze();
-        self.individuals = merged_individuals(&self.base, &self.overlay);
-        self.stale = false;
-        if R::ENABLED {
-            rec.add(Counter::DeltaRefreshes, 1);
-            rec.gauge(Gauge::DeltaPending, metric_u64(self.delta.pending().len()));
-            rec.gauge(Gauge::DeltaTail, metric_u64(self.delta.tail().len()));
-        }
-        rec.span_end(Span::DeltaRefresh, t0);
-    }
-
-    /// LSM-style re-freeze; see [`LayeredExactOracle::compact`].
-    pub fn compact(&mut self) {
-        self.compact_recorded(&NoopRecorder);
-    }
-
-    /// [`compact`](Self::compact) timed under the `compaction.run` span;
-    /// see [`LayeredExactOracle::compact_recorded`].
-    pub fn compact_recorded<R: Recorder>(&mut self, rec: &R) {
-        self.compact_traced(rec, NoopTracer);
-    }
-
-    /// [`compact_recorded`](Self::compact_recorded) with causal tracing;
-    /// same span tree as [`LayeredExactOracle::compact_traced`]
-    /// (`compact.run` ⊃ `compact.rebuild` ⊃ `build.reverse_scan`, then
-    /// `overlay.refresh`).
-    pub fn compact_traced<R: Recorder, T: Tracer>(&mut self, rec: &R, tracer: T) {
-        let trace = TraceId(if T::ENABLED {
-            tracer.alloc_traces(1)
-        } else {
-            0
-        });
-        let sp = tracer.begin(trace, SpanId::NONE, TraceEvent::CompactRun);
-        let t0 = rec.span_start();
-        let new_frontier = self.delta.frontier();
-        let universe = self.delta.universe();
-        let cut = new_frontier.map_or(0, |f| self.delta.expiry_cut(f));
-        let survivors = self.delta.log().len() - cut;
-        if R::ENABLED {
-            rec.add(Counter::CompactionRuns, 1);
-            rec.add(Counter::CompactionExpired, metric_u64(cut));
-            rec.record(Hist::CompactionInput, metric_u64(survivors));
-        }
-        let rb = tracer.begin(trace, sp, TraceEvent::CompactRebuild);
-        self.base = self
-            .delta
-            .build_slice_traced(cut, universe, rec, tracer, trace, rb)
-            .freeze();
-        tracer.end(rb, TraceEvent::CompactRebuild, metric_u64(survivors));
-        self.delta.roll_base(new_frontier, cut, universe);
-        self.generation += 1;
-        if R::ENABLED {
-            rec.gauge(Gauge::CompactionGeneration, self.generation);
-        }
-        let rf = tracer.begin(trace, sp, TraceEvent::OverlayRefresh);
-        self.refresh_recorded(rec);
-        tracer.end(
-            rf,
-            TraceEvent::OverlayRefresh,
-            metric_u64(self.delta.tail().len()),
-        );
-        rec.span_end(Span::CompactionRun, t0);
-        tracer.end(sp, TraceEvent::CompactRun, metric_u64(survivors));
     }
 
     /// The base layer's register row — empty for nodes the base arena
@@ -1111,90 +807,9 @@ impl LayeredApproxOracle {
             SparseRow::EMPTY
         }
     }
-
-    /// True batch query over the layered merge: `Inf(S_i)` for every seed
-    /// set, fanned out over up to `threads` workers through the fused
-    /// two-layer kernel of [`InfluenceOracle::influence`]. Answers are
-    /// bit-identical to mapping `influence` over the sets in order
-    /// (register `max` is idempotent, so the per-worker seed dedup changes
-    /// no merged byte); the batch amortizes seed dedup and scratch across
-    /// each worker's queries.
-    pub fn influence_many_frozen(&self, seed_sets: &[Vec<NodeId>], threads: usize) -> Vec<f64> {
-        self.influence_many_frozen_recorded(seed_sets, threads, &NoopRecorder)
-    }
-
-    /// [`influence_many_frozen`](Self::influence_many_frozen) with
-    /// instrumentation: per-query latencies land in `kernel.query_ns`,
-    /// merged-row counts in `kernel.merge_rows`, the whole batch in the
-    /// `oracle.query_batch` span. Answers are identical to the unrecorded
-    /// path.
-    pub fn influence_many_frozen_recorded<R: Recorder>(
-        &self,
-        seed_sets: &[Vec<NodeId>],
-        threads: usize,
-        rec: &R,
-    ) -> Vec<f64> {
-        self.influence_many_frozen_traced(seed_sets, threads, rec, NoopTracer)
-    }
-
-    /// [`influence_many_frozen_recorded`](Self::influence_many_frozen_recorded)
-    /// with causal tracing: one `query.batch` span plus one `query.element`
-    /// span per element (a [`Tracer::lap`] chain — one ring record and one
-    /// clock read each), each with its own consecutive trace id and the
-    /// deduplicated seed-row count as payload. Answers stay bit-identical
-    /// with any tracer.
-    pub fn influence_many_frozen_traced<R: Recorder, T: Tracer>(
-        &self,
-        seed_sets: &[Vec<NodeId>],
-        threads: usize,
-        rec: &R,
-        tracer: T,
-    ) -> Vec<f64> {
-        let t0 = rec.span_start();
-        let base = if T::ENABLED {
-            tracer.alloc_traces(metric_u64(seed_sets.len()) + 1)
-        } else {
-            0
-        };
-        let batch_span = tracer.begin(TraceId(base), SpanId::NONE, TraceEvent::QueryBatch);
-        let out = crate::par::map_ranges_with_recorded(
-            seed_sets.len(),
-            1,
-            threads,
-            || (Vec::new(), tracer.worker()),
-            |(dedup, tr): &mut (Vec<NodeId>, T), range| {
-                let mut part = Vec::with_capacity(range.len());
-                tr.mark(TraceEvent::QueryElement);
-                for q in range {
-                    let tq = rec.span_start();
-                    dedup.clear();
-                    crate::oracle::push_deduped(&seed_sets[q], dedup);
-                    part.push(self.influence(dedup));
-                    tr.lap(
-                        TraceId(base + 1 + metric_u64(q)),
-                        batch_span,
-                        TraceEvent::QueryElement,
-                        metric_u64(dedup.len()),
-                    );
-                    if R::ENABLED {
-                        crate::oracle::record_batch_query(dedup.len(), tq, rec);
-                    }
-                }
-                part
-            },
-            rec,
-        );
-        tracer.end(
-            batch_span,
-            TraceEvent::QueryBatch,
-            metric_u64(seed_sets.len()),
-        );
-        crate::oracle::finish_batch_recorded(&out, t0, rec);
-        out
-    }
 }
 
-impl HeapBytes for LayeredApproxOracle {
+impl<B: FrozenLayer> HeapBytes for Layered<B> {
     /// Base and overlay images, the merged estimates, the delta log and the
     /// retained rebuild store.
     fn heap_bytes(&self) -> usize {
@@ -1205,11 +820,206 @@ impl HeapBytes for LayeredApproxOracle {
     }
 }
 
-impl InfluenceOracle for LayeredApproxOracle {
-    type Union = HyperLogLog;
+/// Every query reads through the arena's merge rule ([`FrozenLayer`]);
+/// union bookkeeping is the base arena's own.
+impl<B: FrozenLayer> InfluenceOracle for Layered<B> {
+    type Union = B::Union;
 
     fn num_nodes(&self) -> usize {
-        self.individuals.len()
+        InfluenceOracle::num_nodes(&self.overlay).max(InfluenceOracle::num_nodes(&self.base))
+    }
+
+    fn influence(&self, seeds: &[NodeId]) -> f64 {
+        B::layered_influence(self, seeds)
+    }
+
+    fn empty_union(&self) -> B::Union {
+        B::layered_union(self)
+    }
+
+    fn union_size(&self, union: &B::Union) -> f64 {
+        self.base.union_size(union)
+    }
+
+    // xtask-contract: alloc-free, kernel
+    fn absorb(&self, union: &mut B::Union, node: NodeId) {
+        B::layered_absorb(self, union, node);
+    }
+
+    // xtask-contract: alloc-free, kernel
+    fn marginal_gain(&self, union: &B::Union, node: NodeId) -> f64 {
+        B::layered_marginal_gain(self, union, node)
+    }
+
+    // xtask-contract: alloc-free, kernel
+    fn individual(&self, node: NodeId) -> f64 {
+        B::layered_individual(self, node)
+    }
+
+    fn reset_union(&self, union: &mut B::Union) {
+        self.base.reset_union(union);
+    }
+}
+
+impl<B: FrozenLayer> BatchQuery for Layered<B> {
+    type Scratch = B::Union;
+
+    fn scratch(&self) -> B::Union {
+        self.empty_union()
+    }
+
+    fn answer(&self, union: &mut B::Union, seeds: &[NodeId]) -> f64 {
+        self.influence_into(seeds, union)
+    }
+}
+
+impl FrozenLayer for FrozenExactOracle {
+    type Store = ExactStore;
+
+    const KIND: LayeredKind = LayeredKind::Exact;
+
+    fn freeze_store(store: &ExactStore, window: Window) -> Self {
+        store.freeze(window)
+    }
+
+    fn empty_store(&self) -> ExactStore {
+        ExactStore::with_nodes(0)
+    }
+
+    fn stored_window(&self) -> Option<Window> {
+        Some(self.window())
+    }
+
+    fn image(&self) -> &ArenaBytes {
+        FrozenExactOracle::image(self)
+    }
+
+    fn load_checked(path: &Path) -> Result<Self, CodecError> {
+        let arena = Self::load(path)?;
+        arena
+            .validate()
+            .map_err(|_| CodecError::Corrupt("frozen arena violates paper invariants"))?;
+        Ok(arena)
+    }
+
+    /// Nothing: a merged exact answer is counted off the two summaries.
+    fn merged_individuals(_base: &Self, _overlay: &Self) -> Vec<f64> {
+        Vec::new()
+    }
+
+    fn layered_union(layered: &Layered<Self>) -> NodeBitset {
+        NodeBitset::with_nodes(layered.num_nodes())
+    }
+
+    // xtask-contract: alloc-free, kernel
+    fn layered_absorb(layered: &Layered<Self>, union: &mut NodeBitset, node: NodeId) {
+        // Distinct-target union: layer order is irrelevant, so no merge
+        // walk is needed — both layers' targets just land in the bitset.
+        for (v, _) in layered.base_summary(node).iter() {
+            union.insert(v.index());
+        }
+        for (v, _) in layered.overlay_summary(node).iter() {
+            union.insert(v.index());
+        }
+    }
+
+    // xtask-contract: alloc-free, kernel
+    fn layered_marginal_gain(layered: &Layered<Self>, union: &NodeBitset, node: NodeId) -> f64 {
+        let mut gain = 0usize;
+        merged_exact_for_each(
+            layered.base_summary(node),
+            layered.overlay_summary(node),
+            |v, _| {
+                if !union.contains(v.index()) {
+                    gain += 1;
+                }
+            },
+        );
+        gain as f64
+    }
+
+    // xtask-contract: alloc-free, kernel
+    fn layered_individual(layered: &Layered<Self>, node: NodeId) -> f64 {
+        let mut count = 0usize;
+        merged_exact_for_each(
+            layered.base_summary(node),
+            layered.overlay_summary(node),
+            |_, _| {
+                count += 1;
+            },
+        );
+        count as f64
+    }
+}
+
+impl FrozenLayer for FrozenApproxOracle {
+    type Store = VhllStore;
+
+    const KIND: LayeredKind = LayeredKind::Approx;
+
+    fn freeze_store(store: &VhllStore, _window: Window) -> Self {
+        store.freeze()
+    }
+
+    fn empty_store(&self) -> VhllStore {
+        VhllStore::with_nodes(self.precision(), 0)
+    }
+
+    fn stored_window(&self) -> Option<Window> {
+        None
+    }
+
+    fn image(&self) -> &ArenaBytes {
+        FrozenApproxOracle::image(self)
+    }
+
+    fn load_checked(path: &Path) -> Result<Self, CodecError> {
+        let arena = Self::load(path)?;
+        arena
+            .validate()
+            .map_err(|_| CodecError::Corrupt("frozen register arena violates its invariants"))?;
+        Ok(arena)
+    }
+
+    /// Per-node estimates over the register-wise maximum of the two layers
+    /// — the same estimator (and summation order) a from-scratch arena
+    /// precomputes at freeze time, so reads are bit-identical.
+    ///
+    /// Only rows the log changed are re-estimated. Where one layer's row is
+    /// register-wise at most the other's (an overlay row that is all-zero
+    /// or holds only channels the base already covers, or a node with no
+    /// base channels), the merged row *is* the other layer's row, whose
+    /// estimate that arena already stored at freeze time. Comparing two
+    /// rows is one merge walk over their sorted indices.
+    fn merged_individuals(base: &Self, overlay: &Self) -> Vec<f64> {
+        let beta = 1usize << overlay.precision();
+        let base_n = InfluenceOracle::num_nodes(base);
+        let n = InfluenceOracle::num_nodes(overlay).max(base_n);
+        let mut out = Vec::with_capacity(n);
+        for u in 0..n {
+            let u = NodeId::from_index(u);
+            if u.index() >= base_n {
+                out.push(overlay.individual(u));
+                continue;
+            }
+            let (over_row, base_row) = (overlay.row(u), base.row(u));
+            let (over_above, base_above) = rows_exceed(over_row, base_row);
+            out.push(if !over_above {
+                base.individual(u)
+            } else if !base_above {
+                overlay.individual(u)
+            } else {
+                kernel::estimate_tiles(beta, |lo, block| {
+                    over_row.max_into_tile(lo, block);
+                    base_row.max_into_tile(lo, block);
+                })
+            });
+        }
+        out
+    }
+
+    fn layered_union(layered: &Layered<Self>) -> HyperLogLog {
+        HyperLogLog::new(layered.precision())
     }
 
     /// Fused k-way union over the *layered* rows: each seed's overlay and
@@ -1218,28 +1028,20 @@ impl InfluenceOracle for LayeredApproxOracle {
     /// arena, fed the same merged registers in the same order, hence
     /// bit-identical answers.
     // xtask-contract: alloc-free, kernel
-    fn influence(&self, seeds: &[NodeId]) -> f64 {
-        kernel::estimate_tiles(1usize << self.precision(), |lo, block| {
+    fn layered_influence(layered: &Layered<Self>, seeds: &[NodeId]) -> f64 {
+        kernel::estimate_tiles(1usize << layered.precision(), |lo, block| {
             for &s in seeds {
-                self.overlay.row(s).max_into_tile(lo, block);
-                self.base_row(s).max_into_tile(lo, block);
+                layered.overlay.row(s).max_into_tile(lo, block);
+                layered.base_row(s).max_into_tile(lo, block);
             }
         })
     }
 
-    fn empty_union(&self) -> Self::Union {
-        HyperLogLog::new(self.precision())
-    }
-
-    fn union_size(&self, union: &Self::Union) -> f64 {
-        union.estimate()
-    }
-
     // xtask-contract: alloc-free, kernel
-    fn absorb(&self, union: &mut Self::Union, node: NodeId) {
+    fn layered_absorb(layered: &Layered<Self>, union: &mut HyperLogLog, node: NodeId) {
         // Register max is associative and commutative, so folding the two
         // layers in sequence equals folding their merged row.
-        for row in [self.overlay.row(node), self.base_row(node)] {
+        for row in [layered.overlay.row(node), layered.base_row(node)] {
             for (index, rho) in row.iter() {
                 union.merge_register(index, rho);
             }
@@ -1251,10 +1053,10 @@ impl InfluenceOracle for LayeredApproxOracle {
     /// float summation order) as the frozen arena probing the merged row,
     /// with no allocation.
     // xtask-contract: alloc-free, kernel
-    fn marginal_gain(&self, union: &Self::Union, node: NodeId) -> f64 {
+    fn layered_marginal_gain(layered: &Layered<Self>, union: &HyperLogLog, node: NodeId) -> f64 {
         let regs = union.registers();
-        let (over_row, base_row) = (self.overlay.row(node), self.base_row(node));
-        kernel::estimate_tiles(1usize << self.precision(), |lo, block| {
+        let (over_row, base_row) = (layered.overlay.row(node), layered.base_row(node));
+        kernel::estimate_tiles(1usize << layered.precision(), |lo, block| {
             block.copy_from_slice(&regs[lo..lo + block.len()]);
             over_row.max_into_tile(lo, block);
             base_row.max_into_tile(lo, block);
@@ -1262,16 +1064,8 @@ impl InfluenceOracle for LayeredApproxOracle {
     }
 
     // xtask-contract: alloc-free, kernel
-    fn individual(&self, node: NodeId) -> f64 {
-        self.individuals[node.index()]
-    }
-
-    fn reset_union(&self, union: &mut Self::Union) {
-        if union.precision() == self.precision() {
-            union.clear();
-        } else {
-            *union = self.empty_union();
-        }
+    fn layered_individual(layered: &Layered<Self>, node: NodeId) -> f64 {
+        layered.individuals[node.index()]
     }
 }
 
@@ -1599,7 +1393,7 @@ mod tests {
             .append_batch_recorded(&interactions(&all[25..]), &rec)
             .unwrap();
         layered.refresh_recorded(&rec);
-        layered.compact_recorded(&rec);
+        layered.compact_traced(&rec, NoopTracer);
         let snapshot = rec.snapshot().to_json();
         for key in [
             "delta.appends",
@@ -1649,7 +1443,7 @@ mod tests {
                 sketch4(&[(0, 1)]), // past the base universe
             ],
         );
-        let merged = merged_individuals(&base, &overlay);
+        let merged = FrozenApproxOracle::merged_individuals(&base, &overlay);
         assert_eq!(merged.len(), 6);
         for (u, got) in merged.iter().enumerate() {
             let node = NodeId::from_index(u);
@@ -1904,7 +1698,7 @@ mod tests {
             .append_batch_recorded(&interactions(&all[25..]), &rec)
             .unwrap();
         layered.refresh_recorded(&rec);
-        layered.compact_recorded(&rec);
+        layered.compact_traced(&rec, NoopTracer);
         let snapshot = rec.snapshot().to_json();
         for key in [
             "delta.appends",

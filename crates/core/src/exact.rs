@@ -194,13 +194,7 @@ impl ExactIrs {
     /// frozen history. `net` must be the network this IRS was computed
     /// from.
     pub fn layered(&self, net: &InteractionNetwork) -> crate::LayeredExactOracle {
-        let base = self.freeze();
-        let frontier = net.interactions().last().map(|i| i.time);
-        let tail = match frontier {
-            Some(f) => crate::delta::window_tail(net.interactions(), f, self.window),
-            None => Vec::new(),
-        };
-        crate::LayeredExactOracle::from_parts(base, frontier, tail, Vec::new(), 0)
+        crate::Layered::from_base(self.freeze(), net, self.window)
     }
 
     /// Checks the structural invariants of every summary (no self-entries,

@@ -44,9 +44,8 @@ use crate::arena::ArenaBytes;
 use crate::invariants::InvariantViolation;
 use crate::kernel::{self, SparseRow, INDEX_BYTES};
 use crate::obs::{metric_u64, Gauge, HeapBytes, NoopRecorder, Recorder};
-use crate::oracle::{finish_batch_recorded, push_deduped, record_batch_query};
-use crate::oracle::{InfluenceOracle, NodeBitset};
-use crate::trace::{NoopTracer, SpanId, TraceEvent, TraceId, Tracer};
+use crate::oracle::{influence_batch, push_deduped, BatchQuery, InfluenceOracle, NodeBitset};
+use crate::trace::{NoopTracer, Tracer};
 use infprop_hll::{HyperLogLog, RunningEstimator, VersionedHll};
 use infprop_temporal_graph::{NodeId, Timestamp, Window};
 use std::fmt;
@@ -323,8 +322,8 @@ fn sorted_union_len(a: EntriesSlice<'_>, b: EntriesSlice<'_>) -> usize {
 }
 
 /// Exact IRS summaries frozen into a CSR arena over one contiguous
-/// [`ArenaBytes`] image in the IPFE v2 layout (see the module docs and
-/// [`layout`]): header, aligned offset section, aligned entry section.
+/// [`ArenaBytes`] image in the IPFE v2 layout (see the module docs):
+/// header, aligned offset section, aligned entry section.
 /// The image is the on-disk format — persisting writes it verbatim, and
 /// loading (or mapping) wraps the file bytes without copying a section.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -540,31 +539,17 @@ impl FrozenExactOracle {
     /// two-seed queries are answered straight off the sorted CSR slices
     /// without touching the bitset at all.
     pub fn influence_many_frozen(&self, seed_sets: &[Vec<NodeId>], threads: usize) -> Vec<f64> {
-        self.influence_many_frozen_recorded(seed_sets, threads, &NoopRecorder)
+        self.influence_many_frozen_traced(seed_sets, threads, &NoopRecorder, NoopTracer)
     }
 
-    /// [`influence_many_frozen`](Self::influence_many_frozen) with
-    /// instrumentation: per-query latencies land in `kernel.query_ns`,
-    /// merged-row counts in `kernel.merge_rows`, and the whole batch in the
-    /// `oracle.query_batch` span. Answers are identical to the unrecorded
-    /// path.
-    pub fn influence_many_frozen_recorded<R: Recorder>(
-        &self,
-        seed_sets: &[Vec<NodeId>],
-        threads: usize,
-        rec: &R,
-    ) -> Vec<f64> {
-        self.influence_many_frozen_traced(seed_sets, threads, rec, NoopTracer)
-    }
-
-    /// [`influence_many_frozen_recorded`](Self::influence_many_frozen_recorded)
-    /// with causal tracing: the batch becomes one `query.batch` span and
-    /// every element gets its **own trace id** (consecutive from one
-    /// [`Tracer::alloc_traces`] reservation, in seed-set order) under a
-    /// `query.element` span, emitted on the worker lane that answered it
-    /// (payload: deduplicated seed rows merged). With [`NoopTracer`] this
-    /// monomorphizes back to the recorded path; answers are bit-identical
-    /// either way.
+    /// [`influence_many_frozen`](Self::influence_many_frozen) with a
+    /// recorder and a tracer attached. Per-query latencies land in
+    /// `kernel.query_ns`, merged-row counts in `kernel.merge_rows` and the
+    /// whole batch in the `oracle.query_batch` span. The batch is one
+    /// `query.batch` trace span, and every element gets its own trace id
+    /// (consecutive in seed-set order) under a `query.element` span whose
+    /// payload is the deduplicated seed-row count. Answers are
+    /// bit-identical with any recorder and tracer.
     pub fn influence_many_frozen_traced<R: Recorder, T: Tracer>(
         &self,
         seed_sets: &[Vec<NodeId>],
@@ -572,62 +557,24 @@ impl FrozenExactOracle {
         rec: &R,
         tracer: T,
     ) -> Vec<f64> {
-        let t0 = rec.span_start();
-        let base = if T::ENABLED {
-            tracer.alloc_traces(metric_u64(seed_sets.len()) + 1)
-        } else {
-            0
-        };
-        let batch_span = tracer.begin(TraceId(base), SpanId::NONE, TraceEvent::QueryBatch);
-        let out = crate::par::map_ranges_with_recorded(
-            seed_sets.len(),
-            1,
-            threads,
-            || {
-                (
-                    NodeBitset::with_nodes(self.num_nodes()),
-                    Vec::new(),
-                    tracer.worker(),
-                )
-            },
-            |(bits, dedup, tr), range| {
-                let mut part = Vec::with_capacity(range.len());
-                tr.mark(TraceEvent::QueryElement);
-                for q in range {
-                    let tq = rec.span_start();
-                    dedup.clear();
-                    push_deduped(&seed_sets[q], dedup);
-                    part.push(self.influence_deduped(dedup, bits));
-                    tr.lap(
-                        TraceId(base + 1 + metric_u64(q)),
-                        batch_span,
-                        TraceEvent::QueryElement,
-                        metric_u64(dedup.len()),
-                    );
-                    if R::ENABLED {
-                        record_batch_query(dedup.len(), tq, rec);
-                    }
-                }
-                part
-            },
-            rec,
-        );
-        tracer.end(
-            batch_span,
-            TraceEvent::QueryBatch,
-            metric_u64(seed_sets.len()),
-        );
-        finish_batch_recorded(&out, t0, rec);
-        out
+        influence_batch(self, seed_sets, threads, rec, tracer)
+    }
+}
+
+impl BatchQuery for FrozenExactOracle {
+    type Scratch = NodeBitset;
+
+    fn scratch(&self) -> NodeBitset {
+        NodeBitset::with_nodes(self.num_nodes)
     }
 
-    /// One deduplicated query against reusable worker scratch: direct
+    /// One deduplicated query against the worker's bitset: direct
     /// arena-slice lengths for zero or one seed, the allocation-free
     /// two-pointer merge count for two, the recycled bitset union beyond.
     /// All four arms count exactly `|⋃ σω(s)|` — the same integer the trait
     /// path's bitset produces.
     // xtask-contract: kernel
-    fn influence_deduped(&self, seeds: &[NodeId], bits: &mut NodeBitset) -> f64 {
+    fn answer(&self, bits: &mut NodeBitset, seeds: &[NodeId]) -> f64 {
         match *seeds {
             [] => 0.0,
             [s] => self.summary(s).len() as f64,
@@ -695,8 +642,8 @@ impl InfluenceOracle for FrozenExactOracle {
 
 /// Collapsed vHLL sketches frozen into a CSR arena of sparse register rows
 /// with precomputed per-node estimates, all backed by one contiguous
-/// [`ArenaBytes`] image in the IPFA v4 layout (see the module docs and
-/// [`layout`]). Each node's row holds only its non-zero registers, as
+/// [`ArenaBytes`] image in the IPFA v4 layout (see the module docs). Each
+/// node's row holds only its non-zero registers, as
 /// `(index, ρ)` pairs sorted by index ([`SparseRow`]); rows and estimates
 /// are borrowed sections of the image, so a mapped file is queryable
 /// without copying or recomputing either.
@@ -907,39 +854,20 @@ impl FrozenApproxOracle {
     /// same registers and absorb them in ascending position order), but the
     /// batch shape is amortized away: each worker reuses one seed-dedup
     /// buffer and one set of accumulators across its queries, duplicate
-    /// seeds are dropped before any row is merged, and queries run
-    /// [`GROUP`] at a time so their serial estimator chains — the latency
-    /// floor of a single query — overlap in the pipeline.
+    /// seeds are dropped before any row is merged, and queries run four at
+    /// a time so their serial estimator chains — the latency floor of a
+    /// single query — overlap in the pipeline.
     pub fn influence_many_frozen(&self, seed_sets: &[Vec<NodeId>], threads: usize) -> Vec<f64> {
-        self.influence_many_frozen_recorded(seed_sets, threads, &NoopRecorder)
+        self.influence_many_frozen_traced(seed_sets, threads, &NoopRecorder, NoopTracer)
     }
 
-    /// [`influence_many_frozen`](Self::influence_many_frozen) with
-    /// instrumentation: per-query latencies land in `kernel.query_ns`,
-    /// merged-row counts in `kernel.merge_rows`, the whole batch in the
-    /// `oracle.query_batch` span. Answers are bit-identical to the
-    /// unrecorded path.
-    pub fn influence_many_frozen_recorded<R: Recorder>(
-        &self,
-        seed_sets: &[Vec<NodeId>],
-        threads: usize,
-        rec: &R,
-    ) -> Vec<f64> {
-        self.influence_many_frozen_traced(seed_sets, threads, rec, NoopTracer)
-    }
-
-    /// [`influence_many_frozen_recorded`](Self::influence_many_frozen_recorded)
-    /// with causal tracing: one `query.batch` span for the batch and one
-    /// `query.element` span **per element with its own trace id**
-    /// (consecutive from one [`Tracer::alloc_traces`] reservation, in
-    /// seed-set order), emitted on the answering worker's lane as a
-    /// [`Tracer::lap`] chain — one ring record and one clock read per
-    /// element, the per-element floor. The payload is the seed-row count
-    /// merged (deduplicated when metrics recording is also on; raw
-    /// otherwise — max-merge is idempotent, so duplicates cannot change
-    /// the answer). Tracing (like recording) answers query-at-a-time so
-    /// each element's span is honest; both orders merge and absorb
-    /// registers identically, so answers stay bit-identical.
+    /// [`influence_many_frozen`](Self::influence_many_frozen) with a
+    /// recorder and a tracer attached, instrumented like
+    /// [`FrozenExactOracle::influence_many_frozen_traced`]. An attached
+    /// recorder or tracer answers query-at-a-time instead of four at a time,
+    /// so each latency and each `query.element` span is the query's own;
+    /// both orders merge and absorb every query's registers in ascending
+    /// position order, so answers stay bit-identical.
     pub fn influence_many_frozen_traced<R: Recorder, T: Tracer>(
         &self,
         seed_sets: &[Vec<NodeId>],
@@ -947,119 +875,7 @@ impl FrozenApproxOracle {
         rec: &R,
         tracer: T,
     ) -> Vec<f64> {
-        let t0 = rec.span_start();
-        let base = if T::ENABLED {
-            tracer.alloc_traces(metric_u64(seed_sets.len()) + 1)
-        } else {
-            0
-        };
-        let batch_span = tracer.begin(TraceId(base), SpanId::NONE, TraceEvent::QueryBatch);
-        let out = crate::par::map_ranges_with_recorded(
-            seed_sets.len(),
-            GROUP,
-            threads,
-            || (Vec::new(), Vec::new(), tracer.worker()),
-            |(dedup, lanes, tr), range| {
-                self.influence_group_range(
-                    seed_sets,
-                    range,
-                    (dedup, lanes),
-                    rec,
-                    *tr,
-                    (base, batch_span),
-                )
-            },
-            rec,
-        );
-        tracer.end(
-            batch_span,
-            TraceEvent::QueryBatch,
-            metric_u64(seed_sets.len()),
-        );
-        finish_batch_recorded(&out, t0, rec);
-        out
-    }
-
-    /// Answers queries `range` of a batch, [`GROUP`] at a time: each query
-    /// of a group scatter-maxes its deduplicated seeds' rows into its own
-    /// `β`-byte lane of `lanes`, then the four estimators absorb their
-    /// lanes together in ascending register order
-    /// ([`RunningEstimator::absorb_x4`]), overlapping the dependent-add
-    /// chains a lone query would serialize on, and the lanes are zeroed for
-    /// the next group. The recorded and traced variants answer
-    /// query-at-a-time instead so each latency lands in `kernel.query_ns`
-    /// (and each element's `query.element` span is honest); both orders
-    /// merge and absorb every query's registers in ascending position
-    /// order, so answers are bit-identical. `scratch` is the worker's
-    /// seed-dedup buffer and lanes; `batch_trace` is the batch's
-    /// `(first trace id, batch span)` pair from the traced entry point.
-    fn influence_group_range<R: Recorder, T: Tracer>(
-        &self,
-        seed_sets: &[Vec<NodeId>],
-        range: Range<usize>,
-        scratch: (&mut Vec<NodeId>, &mut Vec<u8>),
-        rec: &R,
-        tracer: T,
-        batch_trace: (u64, SpanId),
-    ) -> Vec<f64> {
-        let (dedup, lanes) = scratch;
-        let mut out = Vec::with_capacity(range.len());
-        if R::ENABLED || T::ENABLED {
-            let (base, batch_span) = batch_trace;
-            tracer.mark(TraceEvent::QueryElement);
-            for q in range {
-                let tq = rec.span_start();
-                // Metrics want the deduplicated row count; a trace-only run
-                // skips the dedup pass entirely — register max-merge is
-                // idempotent, so duplicate seed rows can't change a bit of
-                // the answer, and the lap payload reports raw seed rows.
-                let seeds: &[NodeId] = if R::ENABLED {
-                    dedup.clear();
-                    push_deduped(&seed_sets[q], dedup);
-                    dedup
-                } else {
-                    &seed_sets[q]
-                };
-                out.push(self.influence(seeds));
-                tracer.lap(
-                    TraceId(base + 1 + metric_u64(q)),
-                    batch_span,
-                    TraceEvent::QueryElement,
-                    metric_u64(seeds.len()),
-                );
-                if R::ENABLED {
-                    record_batch_query(seeds.len(), tq, rec);
-                }
-            }
-            return out;
-        }
-        let beta = self.beta();
-        // Sized on the worker's first group, then reused: every group
-        // leaves its lanes zeroed.
-        lanes.resize(GROUP * beta, 0);
-        let mut group = range.start;
-        while group < range.end {
-            let qn = GROUP.min(range.end - group);
-            for (q, lane) in lanes.chunks_exact_mut(beta).take(qn).enumerate() {
-                dedup.clear();
-                push_deduped(&seed_sets[group + q], dedup);
-                for &s in dedup.iter() {
-                    self.row(s).max_into(lane);
-                }
-            }
-            // Lanes past `qn` stay zero: their estimators are never read.
-            let (l0, rest) = lanes.split_at(beta);
-            let (l1, rest) = rest.split_at(beta);
-            let (l2, l3) = rest.split_at(beta);
-            let mut ests = [RunningEstimator::new(); GROUP];
-            RunningEstimator::absorb_x4(&mut ests, [l0, l1, l2, l3]);
-            lanes[..qn * beta].fill(0);
-            for est in ests.iter().take(qn) {
-                out.push(est.finish());
-            }
-            group += qn;
-        }
-        out
+        influence_batch(self, seed_sets, threads, rec, tracer)
     }
 
     /// Validates the arena: every row's indices strictly increasing and
@@ -1113,6 +929,64 @@ impl FrozenApproxOracle {
             next = index + 1;
         }
         Ok(())
+    }
+}
+
+impl BatchQuery for FrozenApproxOracle {
+    /// The worker's `GROUP · β` bytes of lanes.
+    type Scratch = Vec<u8>;
+
+    const GROUP: usize = GROUP;
+
+    fn scratch(&self) -> Vec<u8> {
+        Vec::new()
+    }
+
+    fn answer(&self, _lanes: &mut Vec<u8>, seeds: &[NodeId]) -> f64 {
+        self.influence(seeds)
+    }
+
+    /// Answers `range` [`GROUP`] queries at a time: each query of a group
+    /// scatter-maxes its deduplicated seeds' rows into its own `β`-byte
+    /// lane of `lanes`, then the four estimators absorb their lanes
+    /// together in ascending register order
+    /// ([`RunningEstimator::absorb_x4`]), overlapping the dependent-add
+    /// chains a lone query would serialize on, and the lanes are zeroed for
+    /// the next group.
+    fn answer_range(
+        &self,
+        lanes: &mut Vec<u8>,
+        dedup: &mut Vec<NodeId>,
+        seed_sets: &[Vec<NodeId>],
+        range: Range<usize>,
+        out: &mut Vec<f64>,
+    ) {
+        let beta = self.beta();
+        // Sized on the worker's first group, then reused: every group
+        // leaves its lanes zeroed.
+        lanes.resize(GROUP * beta, 0);
+        let mut group = range.start;
+        while group < range.end {
+            let qn = GROUP.min(range.end - group);
+            for (q, lane) in lanes.chunks_exact_mut(beta).take(qn).enumerate() {
+                dedup.clear();
+                push_deduped(&seed_sets[group + q], dedup);
+                for &s in dedup.iter() {
+                    self.row(s).max_into(lane);
+                }
+            }
+            // Lanes past `qn` stay zero: their estimators are never read.
+            let (l0, rest) = lanes.split_at(beta);
+            let (l1, rest) = rest.split_at(beta);
+            let (l2, l3) = rest.split_at(beta);
+            let mut ests = [RunningEstimator::new(); GROUP];
+            RunningEstimator::absorb_x4(&mut ests, [l0, l1, l2, l3]);
+            lanes[..qn * beta].fill(0);
+            for est in ests.iter().take(qn) {
+                out.push(est.finish());
+            }
+            group += qn;
+        }
     }
 }
 
@@ -1553,7 +1427,7 @@ mod tests {
         let frozen = irs.freeze();
         let sets = batch_seed_sets();
         let rec = MetricsRecorder::new();
-        let recorded = frozen.influence_many_frozen_recorded(&sets, 2, &rec);
+        let recorded = frozen.influence_many_frozen_traced(&sets, 2, &rec, NoopTracer);
         let plain = frozen.influence_many_frozen(&sets, 2);
         assert_eq!(
             recorded.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),

@@ -203,9 +203,9 @@ pub fn validate_sketch(
         .check_dominance_chain()
         .map_err(|error| InvariantViolation::Sketch { node, error })?;
     if let Some(fr) = frontier {
-        for cell in 0..sketch.num_cells() {
+        for (_, list) in sketch.occupied_cells() {
             // Lists are time-sorted, so the first entry is the minimum.
-            if let Some(e) = sketch.cell(cell).first() {
+            if let Some(e) = list.as_slice().first() {
                 if e.time < fr.get() {
                     return Err(InvariantViolation::StaleEndTime {
                         node,
@@ -354,6 +354,30 @@ mod tests {
         store.add(NodeId(0), NodeId(1), Timestamp(3));
         assert!(validate(&store, Some(Timestamp(4))).is_err());
         assert_eq!(validate(&store, Some(Timestamp(3))), Ok(()));
+    }
+
+    #[test]
+    fn stale_sketch_entry_is_detected_in_any_cell_at_k16() {
+        let beta = 1usize << 16;
+        let frontier = Some(Timestamp(20));
+        for cell in [0, beta / 2 + 7, beta - 1] {
+            let mut clean = VersionedHll::new(16);
+            clean.insert_raw(3, 2, 50);
+            clean.insert_raw(beta - 2, 1, 60);
+            let mut stale = clean.clone();
+            clean.insert_raw(cell, 4, 40);
+            stale.insert_raw(cell, 4, 10);
+            assert_eq!(validate_sketch(NodeId(2), &clean, frontier), Ok(()));
+            assert_eq!(
+                validate_sketch(NodeId(2), &stale, frontier),
+                Err(InvariantViolation::StaleEndTime {
+                    node: NodeId(2),
+                    end_time: Timestamp(10),
+                    frontier: Timestamp(20),
+                }),
+                "cell {cell}"
+            );
+        }
     }
 
     #[test]

@@ -114,7 +114,9 @@ pub use approx::{ApproxIrs, DEFAULT_PRECISION};
 pub use arena::{ArenaBytes, ARENA_ALIGN};
 pub use brute::{brute_force_irs, brute_force_irs_all};
 pub use channel::{channels_from, find_channel, Channel};
-pub use delta::{DeltaOverlay, LayeredApproxOracle, LayeredExactOracle, StaleAppend};
+pub use delta::{
+    DeltaOverlay, FrozenLayer, Layered, LayeredApproxOracle, LayeredExactOracle, StaleAppend,
+};
 pub use engine::{
     ExactStore, ExactSummary, OutOfOrder, ReversePassEngine, SummaryStore, VhllStore,
 };
@@ -129,8 +131,8 @@ pub use maximize::{
 pub use obs::{HeapBytes, MetricsRecorder, MetricsSnapshot, NoopRecorder, Recorder};
 pub use oracle::{ApproxOracle, ExactOracle, InfluenceOracle, NodeBitset};
 pub use persist::{
-    LayeredKind, LayeredManifest, FROZEN_APPROX_LAYOUT_VERSION, FROZEN_EXACT_LAYOUT_VERSION,
-    MANIFEST_FILE,
+    read_interaction_log, write_interaction_log, LayeredKind, LayeredManifest,
+    FROZEN_APPROX_LAYOUT_VERSION, FROZEN_EXACT_LAYOUT_VERSION, MANIFEST_FILE,
 };
 pub use profile::{ContactDirection, SlidingContacts};
 pub use stream::{ApproxIrsStream, ExactIrsStream};

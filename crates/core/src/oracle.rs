@@ -13,9 +13,11 @@
 
 use crate::approx::ApproxIrs;
 use crate::exact::ExactIrs;
-use crate::obs::{metric_f64, metric_u64, Counter, HeapBytes, Hist, Recorder, Span, SpanStart};
+use crate::obs::{metric_f64, metric_u64, Counter, HeapBytes, Hist, Recorder, Span};
+use crate::trace::{SpanId, TraceEvent, TraceId, Tracer};
 use infprop_hll::HyperLogLog;
 use infprop_temporal_graph::NodeId;
+use std::ops::Range;
 
 /// Appends `seeds` to `buf` sorted ascending with duplicates removed,
 /// returning the `(start, end)` span of the appended run.
@@ -43,29 +45,124 @@ pub(crate) fn push_deduped(seeds: &[NodeId], buf: &mut Vec<NodeId>) -> (usize, u
     (start, w)
 }
 
-/// Per-query instrumentation shared by the frozen batch kernels: counts the
-/// deduplicated rows merged and lands the query latency in the
-/// `kernel.query_ns` histogram. Callers gate on `R::ENABLED`.
-pub(crate) fn record_batch_query<R: Recorder>(rows: usize, tq: SpanStart, rec: &R) {
-    rec.add(Counter::KernelMergeRows, metric_u64(rows));
-    if let Some(ns) = tq.elapsed_ns() {
-        rec.record(Hist::KernelQueryNs, ns);
+/// What the batch driver [`influence_batch`] needs from an oracle: the
+/// per-worker scratch and the answer to one deduplicated seed set. The
+/// driver owns everything else.
+pub(crate) trait BatchQuery: Sync {
+    /// Per-worker scratch, created once per worker and reused across its
+    /// queries.
+    type Scratch;
+
+    /// Queries per unit of the fan-out: worker ranges are aligned to it, so
+    /// a lane group never straddles two workers.
+    const GROUP: usize = 1;
+
+    /// Fresh scratch for one worker.
+    fn scratch(&self) -> Self::Scratch;
+
+    /// `Inf(seeds)` for one sorted, duplicate-free seed set. The answer
+    /// must not depend on the scratch's prior contents.
+    fn answer(&self, scratch: &mut Self::Scratch, seeds: &[NodeId]) -> f64;
+
+    /// Answers `seed_sets[range]` into `out` with no recorder or tracer
+    /// attached, one deduplicated query at a time; an oracle that answers a
+    /// lane group together overrides this. Answers must equal
+    /// [`answer`](Self::answer)'s bit for bit.
+    fn answer_range(
+        &self,
+        scratch: &mut Self::Scratch,
+        dedup: &mut Vec<NodeId>,
+        seed_sets: &[Vec<NodeId>],
+        range: Range<usize>,
+        out: &mut Vec<f64>,
+    ) {
+        for q in range {
+            dedup.clear();
+            push_deduped(&seed_sets[q], dedup);
+            out.push(self.answer(scratch, dedup));
+        }
     }
 }
 
-/// Batch-level instrumentation shared by every `influence_many_frozen`
-/// entry point: query/batch counters, the batch-size histogram, every
-/// answered union size, and the `oracle.query_batch` span.
-pub(crate) fn finish_batch_recorded<R: Recorder>(out: &[f64], t0: SpanStart, rec: &R) {
+/// The one batch-query driver behind every `influence_many_frozen_traced`:
+/// `Inf(S_i)` for every seed set, fanned out over up to `threads` workers,
+/// bit-identical to answering the sets one by one in order.
+///
+/// The driver owns the instrumentation. The batch is one `query.batch`
+/// span, and every element gets its own trace id (consecutive from one
+/// [`Tracer::alloc_traces`] reservation, in seed-set order) under a
+/// `query.element` span on the answering worker's lane, a [`Tracer::lap`]
+/// chain whose payload is the deduplicated seed-row count. Per query, the
+/// recorder counts `kernel.merge_rows` and times `kernel.query_ns`; per
+/// batch, it counts `oracle.queries` and `kernel.batch_queries`, records
+/// `kernel.batch_size` and every answer in `oracle.union_size`, and times
+/// the whole batch under `oracle.query_batch`. With a recorder or tracer
+/// attached every query is answered on its own, so each latency and span
+/// is its own; without either, the oracle's
+/// [`answer_range`](BatchQuery::answer_range) runs.
+pub(crate) fn influence_batch<O: BatchQuery, R: Recorder, T: Tracer>(
+    oracle: &O,
+    seed_sets: &[Vec<NodeId>],
+    threads: usize,
+    rec: &R,
+    tracer: T,
+) -> Vec<f64> {
+    let t0 = rec.span_start();
+    let base = if T::ENABLED {
+        tracer.alloc_traces(metric_u64(seed_sets.len()) + 1)
+    } else {
+        0
+    };
+    let batch_span = tracer.begin(TraceId(base), SpanId::NONE, TraceEvent::QueryBatch);
+    let out = crate::par::map_ranges_with_recorded(
+        seed_sets.len(),
+        O::GROUP,
+        threads,
+        || (oracle.scratch(), Vec::new(), tracer.worker()),
+        |(scratch, dedup, tr), range| {
+            let mut part = Vec::with_capacity(range.len());
+            if !(R::ENABLED || T::ENABLED) {
+                oracle.answer_range(scratch, dedup, seed_sets, range, &mut part);
+                return part;
+            }
+            tr.mark(TraceEvent::QueryElement);
+            for q in range {
+                let tq = rec.span_start();
+                dedup.clear();
+                push_deduped(&seed_sets[q], dedup);
+                part.push(oracle.answer(scratch, dedup));
+                tr.lap(
+                    TraceId(base + 1 + metric_u64(q)),
+                    batch_span,
+                    TraceEvent::QueryElement,
+                    metric_u64(dedup.len()),
+                );
+                if R::ENABLED {
+                    rec.add(Counter::KernelMergeRows, metric_u64(dedup.len()));
+                    if let Some(ns) = tq.elapsed_ns() {
+                        rec.record(Hist::KernelQueryNs, ns);
+                    }
+                }
+            }
+            part
+        },
+        rec,
+    );
+    tracer.end(
+        batch_span,
+        TraceEvent::QueryBatch,
+        metric_u64(seed_sets.len()),
+    );
     if R::ENABLED {
         rec.add(Counter::OracleQueries, metric_u64(out.len()));
         rec.add(Counter::KernelBatchQueries, metric_u64(out.len()));
         rec.record(Hist::KernelBatchSize, metric_u64(out.len()));
-        for &v in out {
+        for &v in &out {
             rec.record(Hist::OracleUnionSize, metric_f64(v));
         }
     }
     rec.span_end(Span::OracleQueryBatch, t0);
+    out
 }
 
 /// A queryable influence oracle with an incremental union accumulator.

@@ -31,7 +31,8 @@
 //!
 //! # Layered oracle directories
 //!
-//! A [`LayeredExactOracle`]/[`LayeredApproxOracle`] persists as a
+//! A [`Layered`] oracle ([`LayeredExactOracle`](crate::LayeredExactOracle)
+//! or [`LayeredApproxOracle`](crate::LayeredApproxOracle)) persists as a
 //! *directory* of generation-stamped files rather than a single blob:
 //!
 //! * `gen-N.arena` — the frozen base arena of generation `N` (`IPFE` or
@@ -50,7 +51,7 @@
 
 use crate::approx::ApproxIrs;
 use crate::arena::ArenaBytes;
-use crate::delta::{LayeredApproxOracle, LayeredExactOracle};
+use crate::delta::{FrozenLayer, Layered};
 use crate::engine::ExactSummary;
 use crate::exact::ExactIrs;
 use crate::frozen::{get_u32, layout};
@@ -110,7 +111,8 @@ impl ApproxOracle {
         let n = u32::from_le_bytes(read_array(r)?) as usize; // xtask-allow: no-lossy-cast (u32 → usize widens on ≥32-bit targets)
         let beta = 1usize << precision;
         let max_rho = 64 - precision + 1;
-        let mut sketches = Vec::with_capacity(n);
+        // Grown as sketches arrive: the count is not trusted for allocation.
+        let mut sketches = Vec::new();
         let mut registers = vec![0u8; beta];
         for _ in 0..n {
             r.read_exact(&mut registers)?;
@@ -153,8 +155,9 @@ impl ApproxIrs {
         validate_version(version)?;
         let window = Window::try_new(i64::from_le_bytes(read_array(r)?))
             .map_err(|_| CodecError::Corrupt("window must be positive"))?;
+        // Grown as sketches arrive: the count is not trusted for allocation.
         let n = u32::from_le_bytes(read_array(r)?) as usize; // xtask-allow: no-lossy-cast (u32 → usize widens on ≥32-bit targets)
-        let mut sketches = Vec::with_capacity(n);
+        let mut sketches = Vec::new();
         for _ in 0..n {
             let sketch = VersionedHll::read_from(r)?;
             if sketch.precision() != precision {
@@ -201,14 +204,15 @@ impl ExactIrs {
         validate_version(version)?;
         let window = Window::try_new(i64::from_le_bytes(read_array(r)?))
             .map_err(|_| CodecError::Corrupt("window must be positive"))?;
+        // Grown as records arrive: no count is trusted for allocation.
         let n = u32::from_le_bytes(read_array(r)?) as usize; // xtask-allow: no-lossy-cast (u32 → usize widens on ≥32-bit targets)
-        let mut summaries = Vec::with_capacity(n);
+        let mut summaries = Vec::new();
         for _ in 0..n {
             let len = u32::from_le_bytes(read_array(r)?) as usize; // xtask-allow: no-lossy-cast (u32 → usize widens on ≥32-bit targets)
             if len > n {
                 return Err(CodecError::Corrupt("summary larger than node universe"));
             }
-            let mut summary: ExactSummary = Vec::with_capacity(len);
+            let mut summary: ExactSummary = Vec::new();
             for _ in 0..len {
                 let v = NodeId(u32::from_le_bytes(read_array(r)?));
                 if v.index() >= n {
@@ -271,7 +275,7 @@ impl FrozenExactOracle {
     /// handing queries untrusted bytes should do the same.
     ///
     /// [`validate`]: FrozenExactOracle::validate
-    /// [`open_layered`]: LayeredExactOracle::open_layered
+    /// [`open_layered`]: Layered::open_layered
     pub fn read_from(r: &mut impl Read) -> Result<Self, CodecError> {
         Self::from_arena_bytes(ArenaBytes::read_from(r)?)
     }
@@ -342,7 +346,7 @@ impl FrozenApproxOracle {
     /// make; callers handing queries untrusted bytes should do the same.
     ///
     /// [`validate`]: FrozenApproxOracle::validate
-    /// [`open_layered`]: LayeredApproxOracle::open_layered
+    /// [`open_layered`]: Layered::open_layered
     pub fn read_from(r: &mut impl Read) -> Result<Self, CodecError> {
         Self::from_arena_bytes(ArenaBytes::read_from(r)?)
     }
@@ -420,9 +424,11 @@ fn check_layout_version(version: u8, current: u8) -> Result<(), CodecError> {
 /// Which layered oracle family a directory holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LayeredKind {
-    /// [`LayeredExactOracle`] over an `IPFE` base arena.
+    /// [`LayeredExactOracle`](crate::LayeredExactOracle) over an `IPFE`
+    /// base arena.
     Exact,
-    /// [`LayeredApproxOracle`] over an `IPFA` base arena.
+    /// [`LayeredApproxOracle`](crate::LayeredApproxOracle) over an `IPFA`
+    /// base arena.
     Approx,
 }
 
@@ -498,9 +504,10 @@ impl LayeredManifest {
     }
 }
 
-/// Writes a time-sorted interaction log in `IPIL` format: header + count +
-/// 16-byte `(src: u32, dst: u32, time: i64)` little-endian records.
-fn write_interactions(w: &mut impl Write, ints: &[Interaction]) -> Result<(), CodecError> {
+/// Writes a time-sorted interaction log in `IPIL` format — the
+/// `gen-N.tail` and `gen-N.pending` files of a layered directory: header +
+/// count + 16-byte `(src: u32, dst: u32, time: i64)` little-endian records.
+pub fn write_interaction_log(w: &mut impl Write, ints: &[Interaction]) -> Result<(), CodecError> {
     w.write_all(LOG_MAGIC)?;
     w.write_all(&[FORMAT_VERSION])?;
     let n = u64::try_from(ints.len())
@@ -516,30 +523,33 @@ fn write_interactions(w: &mut impl Write, ints: &[Interaction]) -> Result<(), Co
     Ok(())
 }
 
-/// Reads a log written by [`write_interactions`], validating the explicit
-/// count (truncation detection) and ascending time order.
-fn read_interactions(r: &mut impl Read) -> Result<Vec<Interaction>, CodecError> {
-    let magic: [u8; 4] = read_array(r)?;
+/// Reads a log written by [`write_interaction_log`], validating the
+/// explicit count against the records present (truncation detection) and
+/// ascending time order. The count is trusted only once the bytes backing
+/// it are there, so no header can make decoding allocate more than the
+/// input's length.
+pub fn read_interaction_log(bytes: &[u8]) -> Result<Vec<Interaction>, CodecError> {
+    let mut r = bytes;
+    let magic: [u8; 4] = read_array(&mut r)?;
     if &magic != LOG_MAGIC {
         return Err(CodecError::BadMagic);
     }
-    let [version] = read_array::<1>(r)?;
+    let [version] = read_array::<1>(&mut r)?;
     validate_version(version)?;
-    let n = u64::from_le_bytes(read_array(r)?);
-    let n = usize::try_from(n).map_err(|_| CodecError::Corrupt("log too large for this target"))?;
-    let mut bytes = vec![0u8; n * 16];
-    r.read_exact(&mut bytes)?;
-    let mut ints = Vec::with_capacity(n);
-    for c in bytes.chunks_exact(16) {
+    let n = u64::from_le_bytes(read_array(&mut r)?);
+    if n.checked_mul(16) != u64::try_from(r.len()).ok() {
+        return Err(CodecError::Corrupt(
+            "interaction log length disagrees with its count",
+        ));
+    }
+    let mut ints: Vec<Interaction> = Vec::with_capacity(r.len() / 16);
+    for c in r.chunks_exact(16) {
         let src = u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
         let dst = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
         let time = i64::from_le_bytes([c[8], c[9], c[10], c[11], c[12], c[13], c[14], c[15]]);
         let i = Interaction::from_raw(src, dst, time);
-        if let Some(prev) = ints.last() {
-            let prev: &Interaction = prev;
-            if i.time < prev.time {
-                return Err(CodecError::Corrupt("interaction log is not sorted by time"));
-            }
+        if ints.last().is_some_and(|prev| i.time < prev.time) {
+            return Err(CodecError::Corrupt("interaction log is not sorted by time"));
         }
         ints.push(i);
     }
@@ -597,7 +607,7 @@ fn validate_log_boundary(tail: &[Interaction], pending: &[Interaction]) -> Resul
     Ok(())
 }
 
-impl LayeredExactOracle {
+impl<B: FrozenLayer> Layered<B> {
     /// Saves the full layered state into `dir` (created if missing):
     /// `gen-N.arena`, `gen-N.tail`, `gen-N.pending`, then the `MANIFEST`
     /// commit; previous generations are swept after the commit. Safe to
@@ -607,15 +617,13 @@ impl LayeredExactOracle {
     pub fn save_layered(&self, dir: &Path) -> Result<(), CodecError> {
         fs::create_dir_all(dir)?;
         let g = self.generation();
+        write_atomic(&gen_file(dir, g, "arena"), self.base().image())?;
         let mut bytes = Vec::new();
-        self.base().write_to(&mut bytes)?;
-        write_atomic(&gen_file(dir, g, "arena"), &bytes)?;
-        bytes.clear();
-        write_interactions(&mut bytes, self.delta().tail())?;
+        write_interaction_log(&mut bytes, self.delta().tail())?;
         write_atomic(&gen_file(dir, g, "tail"), &bytes)?;
         self.persist_pending(dir)?;
         let manifest = LayeredManifest {
-            kind: LayeredKind::Exact,
+            kind: B::KIND,
             base_frontier: self.delta().base_frontier(),
             generation: g,
             window: self.window(),
@@ -633,93 +641,31 @@ impl LayeredExactOracle {
     /// file swap.
     pub fn persist_pending(&self, dir: &Path) -> Result<(), CodecError> {
         let mut bytes = Vec::new();
-        write_interactions(&mut bytes, self.delta().pending())?;
+        write_interaction_log(&mut bytes, self.delta().pending())?;
         write_atomic(&gen_file(dir, self.generation(), "pending"), &bytes)
     }
 
     /// Opens a directory written by [`save_layered`](Self::save_layered),
     /// resolving the live generation through the `MANIFEST` and rebuilding
-    /// the overlay from the persisted logs.
+    /// the overlay from the persisted logs. The window comes from the
+    /// manifest and must match the one the arena stores, if it stores one.
     pub fn open_layered(dir: &Path) -> Result<Self, CodecError> {
         let manifest = LayeredManifest::read_from_dir(dir)?;
-        if manifest.kind != LayeredKind::Exact {
-            return Err(CodecError::Corrupt(
-                "directory holds an approx layered oracle",
-            ));
+        if manifest.kind != B::KIND {
+            return Err(CodecError::Corrupt(match manifest.kind {
+                LayeredKind::Exact => "directory holds an exact layered oracle",
+                LayeredKind::Approx => "directory holds an approx layered oracle",
+            }));
         }
         let g = manifest.generation;
-        let base = FrozenExactOracle::load(&gen_file(dir, g, "arena"))?;
-        base.validate()
-            .map_err(|_| CodecError::Corrupt("frozen arena violates paper invariants"))?;
-        if base.window() != manifest.window {
+        let base = B::load_checked(&gen_file(dir, g, "arena"))?;
+        if base.stored_window().is_some_and(|w| w != manifest.window) {
             return Err(CodecError::Corrupt(
                 "manifest window disagrees with the arena",
             ));
         }
-        let tail = read_interactions(&mut fs::read(gen_file(dir, g, "tail"))?.as_slice())?;
-        let pending = read_interactions(&mut fs::read(gen_file(dir, g, "pending"))?.as_slice())?;
-        validate_log_boundary(&tail, &pending)?;
-        Ok(Self::from_parts(
-            base,
-            manifest.base_frontier,
-            tail,
-            pending,
-            g,
-        ))
-    }
-}
-
-impl LayeredApproxOracle {
-    /// Saves the full layered state into `dir`; see
-    /// [`LayeredExactOracle::save_layered`] — identical layout with an
-    /// `IPFA` arena and `kind = Approx`.
-    pub fn save_layered(&self, dir: &Path) -> Result<(), CodecError> {
-        fs::create_dir_all(dir)?;
-        let g = self.generation();
-        let mut bytes = Vec::new();
-        self.base().write_to(&mut bytes)?;
-        write_atomic(&gen_file(dir, g, "arena"), &bytes)?;
-        bytes.clear();
-        write_interactions(&mut bytes, self.delta().tail())?;
-        write_atomic(&gen_file(dir, g, "tail"), &bytes)?;
-        self.persist_pending(dir)?;
-        let manifest = LayeredManifest {
-            kind: LayeredKind::Approx,
-            base_frontier: self.delta().base_frontier(),
-            generation: g,
-            window: self.window(),
-        };
-        bytes.clear();
-        manifest.write_to(&mut bytes)?;
-        write_atomic(&dir.join(MANIFEST_FILE), &bytes)?;
-        sweep_stale_generations(dir, g);
-        Ok(())
-    }
-
-    /// Rewrites only `gen-N.pending`; see
-    /// [`LayeredExactOracle::persist_pending`].
-    pub fn persist_pending(&self, dir: &Path) -> Result<(), CodecError> {
-        let mut bytes = Vec::new();
-        write_interactions(&mut bytes, self.delta().pending())?;
-        write_atomic(&gen_file(dir, self.generation(), "pending"), &bytes)
-    }
-
-    /// Opens a directory written by [`save_layered`](Self::save_layered).
-    /// The window comes from the manifest (the register arena does not
-    /// carry one).
-    pub fn open_layered(dir: &Path) -> Result<Self, CodecError> {
-        let manifest = LayeredManifest::read_from_dir(dir)?;
-        if manifest.kind != LayeredKind::Approx {
-            return Err(CodecError::Corrupt(
-                "directory holds an exact layered oracle",
-            ));
-        }
-        let g = manifest.generation;
-        let base = FrozenApproxOracle::load(&gen_file(dir, g, "arena"))?;
-        base.validate()
-            .map_err(|_| CodecError::Corrupt("frozen register arena violates its invariants"))?;
-        let tail = read_interactions(&mut fs::read(gen_file(dir, g, "tail"))?.as_slice())?;
-        let pending = read_interactions(&mut fs::read(gen_file(dir, g, "pending"))?.as_slice())?;
+        let tail = read_interaction_log(&fs::read(gen_file(dir, g, "tail"))?)?;
+        let pending = read_interaction_log(&fs::read(gen_file(dir, g, "pending"))?)?;
         validate_log_boundary(&tail, &pending)?;
         Ok(Self::from_parts(
             base,
@@ -736,6 +682,7 @@ impl LayeredApproxOracle {
 mod tests {
     use super::*;
     use crate::oracle::InfluenceOracle;
+    use crate::{LayeredApproxOracle, LayeredExactOracle};
     use infprop_temporal_graph::{InteractionNetwork, NodeId};
 
     fn network() -> InteractionNetwork {
@@ -1280,24 +1227,24 @@ mod tests {
             .map(|i| Interaction::from_raw(i, i + 1, i64::from(i)))
             .collect();
         let mut bytes = Vec::new();
-        write_interactions(&mut bytes, &ints).unwrap();
-        assert_eq!(read_interactions(&mut bytes.as_slice()).unwrap(), ints);
+        write_interaction_log(&mut bytes, &ints).unwrap();
+        assert_eq!(read_interaction_log(&bytes).unwrap(), ints);
         let mut truncated = bytes.clone();
         truncated.truncate(bytes.len() - 8);
-        assert!(read_interactions(&mut truncated.as_slice()).is_err());
+        assert!(read_interaction_log(&truncated).is_err());
         let mut future = bytes.clone();
         future[4] = 99; // version byte
         assert!(matches!(
-            read_interactions(&mut future.as_slice()),
+            read_interaction_log(&future),
             Err(CodecError::FutureVersion(99))
         ));
         // Unsorted logs are corruption, not silently accepted.
         let mut unsorted = ints.clone();
         unsorted.swap(0, 9);
         let mut bytes = Vec::new();
-        write_interactions(&mut bytes, &unsorted).unwrap();
+        write_interaction_log(&mut bytes, &unsorted).unwrap();
         assert!(matches!(
-            read_interactions(&mut bytes.as_slice()),
+            read_interaction_log(&bytes),
             Err(CodecError::Corrupt(_))
         ));
     }
@@ -1715,7 +1662,7 @@ mod tests {
         oracle.save_layered(&dir).unwrap();
         let tail_end = oracle.delta().tail().last().unwrap().time.get();
         let mut bytes = Vec::new();
-        write_interactions(&mut bytes, &[Interaction::from_raw(1, 2, tail_end - 1)]).unwrap();
+        write_interaction_log(&mut bytes, &[Interaction::from_raw(1, 2, tail_end - 1)]).unwrap();
         fs::write(gen_file(&dir, 0, "pending"), &bytes).unwrap();
         assert!(matches!(
             LayeredExactOracle::open_layered(&dir),

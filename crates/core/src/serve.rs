@@ -53,8 +53,8 @@ use crate::maximize::{greedy_top_k_recorded, Selection};
 use crate::obs::{metric_u64, Counter, Hist, Recorder, Span};
 use crate::oracle::InfluenceOracle;
 use crate::persist::{LayeredKind, LayeredManifest, MANIFEST_FILE};
-use crate::trace::{SpanId, TraceEvent, TraceId, Tracer};
-use crate::{LayeredApproxOracle, LayeredExactOracle};
+use crate::trace::{NoopTracer, SpanId, TraceEvent, TraceId, Tracer};
+use crate::{FrozenLayer, LayeredApproxOracle, LayeredExactOracle};
 use infprop_hll::CodecError;
 use infprop_temporal_graph::{NodeId, Timestamp};
 use std::fmt;
@@ -483,20 +483,12 @@ impl ServedOracle {
         let mut magic = [0u8; 4];
         fs::File::open(path)?.read_exact(&mut magic)?;
         match &magic {
-            b"IPFE" => {
-                let oracle = FrozenExactOracle::load(path)?;
-                oracle
-                    .validate()
-                    .map_err(|_| CodecError::Corrupt("frozen arena violates paper invariants"))?;
-                Ok(ServedOracle::FrozenExact(oracle))
-            }
-            b"IPFA" => {
-                let oracle = FrozenApproxOracle::load(path)?;
-                oracle.validate().map_err(|_| {
-                    CodecError::Corrupt("frozen register arena violates its invariants")
-                })?;
-                Ok(ServedOracle::FrozenApprox(oracle))
-            }
+            b"IPFE" => Ok(ServedOracle::FrozenExact(FrozenExactOracle::load_checked(
+                path,
+            )?)),
+            b"IPFA" => Ok(ServedOracle::FrozenApprox(
+                FrozenApproxOracle::load_checked(path)?,
+            )),
             _ => Err(CodecError::BadMagic),
         }
     }
@@ -545,16 +537,16 @@ impl ServedOracle {
     ) -> Vec<f64> {
         match self {
             ServedOracle::FrozenExact(o) => {
-                o.influence_many_frozen_recorded(seed_sets, threads, rec)
+                o.influence_many_frozen_traced(seed_sets, threads, rec, NoopTracer)
             }
             ServedOracle::FrozenApprox(o) => {
-                o.influence_many_frozen_recorded(seed_sets, threads, rec)
+                o.influence_many_frozen_traced(seed_sets, threads, rec, NoopTracer)
             }
             ServedOracle::LayeredExact(o) => {
-                o.influence_many_frozen_recorded(seed_sets, threads, rec)
+                o.influence_many_frozen_traced(seed_sets, threads, rec, NoopTracer)
             }
             ServedOracle::LayeredApprox(o) => {
-                o.influence_many_frozen_recorded(seed_sets, threads, rec)
+                o.influence_many_frozen_traced(seed_sets, threads, rec, NoopTracer)
             }
         }
     }

@@ -303,7 +303,7 @@ pub struct RingTracer {
 
 impl RingTracer {
     /// A tracer with lane 0 for the calling thread plus `workers` worker
-    /// lanes, each holding [`DEFAULT_CAPACITY`] events.
+    /// lanes, each holding 2^14 events.
     pub fn new(workers: usize) -> Self {
         Self::with_capacity(workers, DEFAULT_CAPACITY)
     }

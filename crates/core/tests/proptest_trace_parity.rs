@@ -10,10 +10,11 @@
 //! crate's own structural validator (balanced per-lane begin/end stacks,
 //! registry-known event names, parents that refer to begun spans).
 
+use infprop_core::trace::matched_spans;
 use infprop_core::{
     greedy_top_k_threads, greedy_top_k_traced, trace_to_json, validate_trace_json, ApproxIrs,
     ExactIrs, InfluenceOracle, LayeredApproxOracle, LayeredExactOracle, NoopRecorder, NoopTracer,
-    RingTracer,
+    RingTracer, TraceEvent,
 };
 use infprop_temporal_graph::{InteractionNetwork, NodeId, Window};
 use proptest::prelude::*;
@@ -72,6 +73,42 @@ fn assert_ring_well_formed(ring: &RingTracer, min_spans: usize) -> Result<(), Te
         stats.spans
     );
     Ok(())
+}
+
+/// The `query.element` payloads of a traced batch, in seed-set order.
+fn element_payloads(ring: &RingTracer) -> Vec<u64> {
+    let mut elements: Vec<(u64, u64)> = matched_spans(&ring.records())
+        .iter()
+        .filter(|s| s.event == TraceEvent::QueryElement)
+        .map(|s| (s.trace.0, s.payload))
+        .collect();
+    elements.sort_unstable();
+    elements.into_iter().map(|(_, payload)| payload).collect()
+}
+
+/// Every traced batch reports the deduplicated seed-row count as a
+/// `query.element` payload, as `TraceEvent::QueryElement` documents — on
+/// the frozen vHLL arena's trace-only path as on the exact arena's.
+#[test]
+fn query_element_payload_counts_deduplicated_seeds() {
+    let net = InteractionNetwork::from_triples(
+        (0..30u32).map(|i| (i % 8, (i * 3 + 1) % 8, i64::from(i))),
+    );
+    let sets = vec![
+        vec![NodeId(3), NodeId(3), NodeId(5)],
+        vec![NodeId(1); 4],
+        vec![],
+        vec![NodeId(6), NodeId(2)],
+    ];
+    let approx = ApproxIrs::compute_with_precision(&net, Window(6), PRECISION).freeze();
+    let ring = RingTracer::new(1);
+    approx.influence_many_frozen_traced(&sets, 1, &NoopRecorder, ring.lane(0));
+    assert_eq!(element_payloads(&ring), [2, 1, 0, 2]);
+
+    let exact = ExactIrs::compute(&net, Window(6)).freeze();
+    let ring = RingTracer::new(1);
+    exact.influence_many_frozen_traced(&sets, 1, &NoopRecorder, ring.lane(0));
+    assert_eq!(element_payloads(&ring), [2, 1, 0, 2]);
 }
 
 proptest! {

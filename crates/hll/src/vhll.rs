@@ -479,9 +479,12 @@ impl VersionedHll {
         ((word >> bit) & 1 == 1, slot)
     }
 
-    /// The occupied cells as `(cell index, version list)` pairs, ascending.
+    /// The occupied cells as `(cell index, version list)` pairs, ascending:
+    /// one walk over the occupancy bitmap beside the packed lists, so it
+    /// costs `β / 64` words plus the occupied cells, where probing every
+    /// index with [`cell`](Self::cell) costs a rank per cell.
     #[inline]
-    fn occupied_cells(&self) -> impl Iterator<Item = (usize, &VersionList)> {
+    pub fn occupied_cells(&self) -> impl Iterator<Item = (usize, &VersionList)> {
         set_bits(&self.occupied).zip(&self.cells)
     }
 

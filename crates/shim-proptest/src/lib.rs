@@ -300,7 +300,7 @@ pub mod collection {
     use crate::strategy::{Gen, Strategy};
     use std::ops::{Range, RangeInclusive};
 
-    /// A length range for [`vec`], converted from the same argument types
+    /// A length range for [`vec()`], converted from the same argument types
     /// the original crate accepts at our call sites.
     #[derive(Debug, Clone, Copy)]
     pub struct SizeRange {
@@ -336,7 +336,7 @@ pub mod collection {
         }
     }
 
-    /// The strategy [`vec`] returns.
+    /// The strategy [`vec()`] returns.
     #[derive(Debug, Clone)]
     pub struct VecStrategy<S> {
         element: S,

@@ -167,7 +167,8 @@ pub(crate) fn strip_justifications(rest: &str) -> String {
 
 /// Every waiver written in `source`, in order. Only plain `//` comments
 /// count: an `xtask-allow:` inside a doc comment is prose (an example in
-/// documentation), not a grant — matching [`collect_allows`].
+/// documentation), not a grant — the same rule the lint applies to its
+/// waivers.
 pub fn collect_allow_entries(source: &str) -> Vec<AllowEntry> {
     let toks = lex(source);
     let mut out = Vec::new();

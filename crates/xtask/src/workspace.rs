@@ -29,7 +29,7 @@ use std::path::{Path, PathBuf};
 /// All non-tooling crates get `no-raw-timing`: clocks live behind the
 /// `infprop_core::obs` recorder and the `infprop_core::trace` ring tracer,
 /// whose implementation files (`obs.rs`, `trace.rs`) are the sanctioned
-/// call sites (see [`collect_crate`]).
+/// call sites: file discovery drops the rule for those two files.
 pub fn rules_for_crate(crate_dir: &str) -> Vec<Rule> {
     match crate_dir {
         "xtask" | "bench" => vec![Rule::ForbidUnsafe],
