@@ -3,7 +3,8 @@
 //! Grammar: `infprop <command> [positional…] [--flag value…]`. Flags accept
 //! `--flag value`; boolean flags take no value. Unknown flags and missing
 //! required arguments produce descriptive errors that `main` prints with
-//! the usage text.
+//! the usage text. Every flag is named in one of two tables,
+//! `BOOLEAN_FLAGS` and `VALUE_FLAGS`.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -37,6 +38,8 @@ pub enum ArgError {
     },
     /// Wrong number of positional arguments.
     Positional(&'static str),
+    /// A flag no command takes.
+    UnknownFlag(String),
 }
 
 impl fmt::Display for ArgError {
@@ -52,6 +55,7 @@ impl fmt::Display for ArgError {
                 write!(f, "--{flag}: expected {expected}, got {value:?}")
             }
             ArgError::Positional(what) => write!(f, "{what}"),
+            ArgError::UnknownFlag(flag) => write!(f, "unknown flag --{flag}"),
         }
     }
 }
@@ -59,7 +63,40 @@ impl fmt::Display for ArgError {
 impl std::error::Error for ArgError {}
 
 /// Flags that take no value.
-const BOOLEAN_FLAGS: &[&str] = &["exact", "frozen", "help", "layered", "metrics", "no-freeze"];
+const BOOLEAN_FLAGS: &[&str] = &["exact", "frozen", "help", "layered", "metrics"];
+
+/// Flags that take one value.
+const VALUE_FLAGS: &[&str] = &[
+    "batch-size",
+    "batches",
+    "beta",
+    "clients",
+    "from",
+    "k",
+    "method",
+    "metrics-out",
+    "model",
+    "oracle",
+    "out",
+    "p",
+    "profile",
+    "queries",
+    "rounds",
+    "runs",
+    "scale",
+    "seed",
+    "seeds",
+    "slowest",
+    "socket",
+    "tcp",
+    "threads",
+    "to",
+    "top",
+    "trace-out",
+    "units-per-day",
+    "window",
+    "window-pct",
+];
 
 /// Splits raw arguments (without the program name) into a [`ParsedArgs`].
 pub fn parse(args: &[String]) -> Result<ParsedArgs, ArgError> {
@@ -75,6 +112,8 @@ pub fn parse(args: &[String]) -> Result<ParsedArgs, ArgError> {
             if BOOLEAN_FLAGS.contains(&name) {
                 flags.insert(name.to_owned(), "true".to_owned());
                 i += 1;
+            } else if !VALUE_FLAGS.contains(&name) {
+                return Err(ArgError::UnknownFlag(name.to_owned()));
             } else {
                 let value = rest.get(i + 1).ok_or_else(|| ArgError::BadValue {
                     flag: name.to_owned(),
@@ -222,6 +261,43 @@ mod tests {
     fn flag_without_value_errors() {
         let err = parse(&args(&["stats", "--units-per-day"])).unwrap_err();
         assert!(matches!(err, ArgError::BadValue { .. }));
+    }
+
+    #[test]
+    fn typos_and_removed_flags_are_rejected_by_name() {
+        for flag in ["threds", "no-freeze"] {
+            let err = parse(&args(&[
+                "topk",
+                "net.txt",
+                &format!("--{flag}"),
+                "--k",
+                "2",
+            ]));
+            assert_eq!(err, Err(ArgError::UnknownFlag(flag.to_owned())));
+            assert_eq!(
+                err.unwrap_err().to_string(),
+                format!("unknown flag --{flag}")
+            );
+        }
+    }
+
+    #[test]
+    fn the_flag_tables_and_the_usage_name_the_same_flags() {
+        let in_usage: std::collections::BTreeSet<&str> = crate::commands::USAGE
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .filter_map(|word| word.strip_prefix("--"))
+            .collect();
+        for flag in &in_usage {
+            let p = parse(&args(&["cmd", &format!("--{flag}"), "v"]));
+            assert!(p.is_ok(), "--{flag} is in the usage but rejected");
+        }
+        for flag in BOOLEAN_FLAGS.iter().chain(VALUE_FLAGS) {
+            // `--help` prints the usage; it needs no line of its own.
+            assert!(
+                *flag == "help" || in_usage.contains(flag),
+                "--{flag} is accepted but missing from the usage"
+            );
+        }
     }
 
     #[test]

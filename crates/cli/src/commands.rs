@@ -7,15 +7,14 @@ use infprop_baselines::{
     PageRankConfig, Skim, SkimConfig,
 };
 use infprop_core::obs::{metric_u64, Counter, Gauge, Hist, Span};
-use infprop_core::serve as serving;
+use infprop_core::serve::{self as serving, Artefact, ServedOracle};
 use infprop_core::trace::{SpanId, TraceEvent, TraceId};
 use infprop_core::{
-    attribution, find_channel, greedy_top_k_threads, greedy_top_k_traced, trace_to_json,
-    validate_trace_json, ApproxIrs, ApproxOracle, ExactIrs, FlightRecorder, FrozenApproxOracle,
-    FrozenExactOracle, FrozenLayer, HeapBytes, InfluenceOracle, LaneTracer, Layered,
-    LayeredApproxOracle, LayeredExactOracle, LayeredKind, LayeredManifest, MetricsRecorder,
-    NoopRecorder, NoopTracer, Recorder, RingTracer, Selection, Tracer, DEFAULT_PRECISION,
-    FROZEN_APPROX_LAYOUT_VERSION, FROZEN_EXACT_LAYOUT_VERSION,
+    attribution, find_channel, trace_to_json, validate_trace_json, ApproxIrs, ExactIrs,
+    FlightRecorder, FrozenApproxOracle, FrozenExactOracle, FrozenLayer, HeapBytes, InfluenceOracle,
+    LaneTracer, Layered, LayeredKind, LayeredManifest, MetricsRecorder, NoopRecorder, NoopTracer,
+    Recorder, RingTracer, Selection, Tracer, DEFAULT_PRECISION, FROZEN_APPROX_LAYOUT_VERSION,
+    FROZEN_EXACT_LAYOUT_VERSION,
 };
 use infprop_datasets::profiles;
 use infprop_diffusion::{tcic_spread, tclt_spread, LtWeights, TcicConfig};
@@ -25,7 +24,7 @@ use infprop_temporal_graph::{
 };
 use std::error::Error;
 use std::fs::File;
-use std::io::{BufReader, BufWriter};
+use std::io::BufWriter;
 use std::path::Path;
 
 type CmdResult = Result<(), Box<dyn Error>>;
@@ -37,18 +36,52 @@ fn metrics_requested(args: &ParsedArgs) -> bool {
     args.boolean("metrics") || args.optional("metrics-out").is_some()
 }
 
-/// Drains `rec` into a [`MetricsSnapshot`](infprop_core::MetricsSnapshot)
-/// and emits its JSON per the `--metrics`/`--metrics-out` flags.
-fn emit_metrics(args: &ParsedArgs, rec: &MetricsRecorder) -> CmdResult {
-    let json = rec.snapshot().to_json();
-    match args.optional("metrics-out") {
-        Some(path) => {
-            std::fs::write(path, format!("{json}\n"))?;
-            println!("wrote metrics snapshot to {path}");
+/// Emits the run's outputs where requested: the JSON snapshot of `rec`
+/// (`--metrics` prints it, `--metrics-out <path>` writes it to a file),
+/// then the Chrome trace of `ring` to the `--trace-out` path, validated in
+/// process first (the CLI never writes a file Perfetto would reject).
+fn emit(args: &ParsedArgs, rec: Option<&MetricsRecorder>, ring: Option<&RingTracer>) -> CmdResult {
+    if let Some(rec) = rec {
+        let json = rec.snapshot().to_json();
+        match args.optional("metrics-out") {
+            Some(path) => {
+                std::fs::write(path, format!("{json}\n"))?;
+                println!("wrote metrics snapshot to {path}");
+            }
+            None => println!("{json}"),
         }
-        None => println!("{json}"),
+    }
+    if let (Some(ring), Some(path)) = (ring, args.optional("trace-out")) {
+        let json = trace_to_json(&ring.records());
+        let stats = validate_trace_json(&json)
+            .map_err(|e| format!("internal: exported trace failed validation: {e}"))?;
+        std::fs::write(path, json)?;
+        println!(
+            "wrote Chrome trace to {path} ({} spans, {} instants)",
+            stats.spans, stats.instants
+        );
     }
     Ok(())
+}
+
+/// Prints the p50/p99/p999/mean line of the latencies `rec` recorded in
+/// `hist`, one sample per `unit` (`units` in the plural), if it has any.
+fn print_latency(rec: &MetricsRecorder, hist: Hist, unit: &str, units: &str) {
+    let snap = rec.snapshot();
+    if let Some(h) = snap
+        .hists
+        .iter()
+        .find(|h| h.name == hist.name() && h.count > 0)
+    {
+        println!(
+            "per-{unit} latency: p50 {} ns, p99 {} ns, p999 {} ns, mean {:.1} ns over {} {units}",
+            h.quantile(0.50),
+            h.quantile(0.99),
+            h.quantile(0.999),
+            h.mean(),
+            h.count
+        );
+    }
 }
 
 /// Creates the live ring tracer when `--trace-out FILE` was given; every
@@ -56,24 +89,6 @@ fn emit_metrics(args: &ParsedArgs, rec: &MetricsRecorder) -> CmdResult {
 /// worker plus the caller's lane 0).
 fn trace_requested(args: &ParsedArgs, threads: usize) -> Option<RingTracer> {
     args.optional("trace-out").map(|_| RingTracer::new(threads))
-}
-
-/// Harvests `ring`, validates the Chrome-trace export in process (the CLI
-/// never writes a file Perfetto would reject), and writes it to the
-/// `--trace-out` path.
-fn emit_trace(args: &ParsedArgs, ring: &RingTracer) -> CmdResult {
-    let Some(path) = args.optional("trace-out") else {
-        return Ok(());
-    };
-    let json = trace_to_json(&ring.records());
-    let stats = validate_trace_json(&json)
-        .map_err(|e| format!("internal: exported trace failed validation: {e}"))?;
-    std::fs::write(path, json)?;
-    println!(
-        "wrote Chrome trace to {path} ({} spans, {} instants)",
-        stats.spans, stats.instants
-    );
-    Ok(())
 }
 
 /// Begins a CLI-level span on its own fresh trace (no-op without a ring).
@@ -92,20 +107,41 @@ fn end_root(span: Option<(LaneTracer<'_>, SpanId)>, ev: TraceEvent, payload: u64
     }
 }
 
-/// Greedy selection against the optional recorder and tracer — all four
-/// combinations monomorphize from `greedy_top_k_traced`.
-fn greedy(
-    oracle: &(impl InfluenceOracle + Sync),
+/// Greedy top-`k` selection over `oracle` against the optional recorder
+/// and tracer — all four combinations monomorphize from
+/// [`ServedOracle::top_k_traced`].
+fn top_k(
+    oracle: &ServedOracle,
     k: usize,
     threads: usize,
     rec: Option<&MetricsRecorder>,
     ring: Option<&RingTracer>,
 ) -> Vec<Selection> {
     match (rec, ring) {
-        (Some(rec), Some(r)) => greedy_top_k_traced(oracle, k, threads, rec, r.lane(0)),
-        (Some(rec), None) => greedy_top_k_traced(oracle, k, threads, rec, NoopTracer),
-        (None, Some(r)) => greedy_top_k_traced(oracle, k, threads, &NoopRecorder, r.lane(0)),
-        (None, None) => greedy_top_k_threads(oracle, k, threads),
+        (Some(rec), Some(r)) => oracle.top_k_traced(k, threads, rec, r.lane(0)),
+        (Some(rec), None) => oracle.top_k_traced(k, threads, rec, NoopTracer),
+        (None, Some(r)) => oracle.top_k_traced(k, threads, &NoopRecorder, r.lane(0)),
+        (None, None) => oracle.top_k_traced(k, threads, &NoopRecorder, NoopTracer),
+    }
+}
+
+/// Answers every seed set through `oracle`'s batch kernel against the
+/// optional recorder and tracer — all four combinations monomorphize from
+/// [`ServedOracle::influence_many_traced`].
+fn query_batch(
+    oracle: &ServedOracle,
+    seed_sets: &[Vec<NodeId>],
+    threads: usize,
+    rec: Option<&MetricsRecorder>,
+    ring: Option<&RingTracer>,
+) -> Vec<f64> {
+    match (rec, ring) {
+        (Some(rec), Some(r)) => oracle.influence_many_traced(seed_sets, threads, rec, r.lane(0)),
+        (Some(rec), None) => oracle.influence_many_traced(seed_sets, threads, rec, NoopTracer),
+        (None, Some(r)) => {
+            oracle.influence_many_traced(seed_sets, threads, &NoopRecorder, r.lane(0))
+        }
+        (None, None) => oracle.influence_many_traced(seed_sets, threads, &NoopRecorder, NoopTracer),
     }
 }
 
@@ -119,10 +155,6 @@ fn beta_to_precision(beta: usize) -> Result<u8, ArgError> {
         });
     }
     Ok(beta.trailing_zeros() as u8)
-}
-
-fn load(path: &str) -> Result<io::LoadedNetwork, Box<dyn Error>> {
-    Ok(io::read_interactions_path(path)?)
 }
 
 fn window_of(args: &ParsedArgs, net: &InteractionNetwork) -> Result<Window, Box<dyn Error>> {
@@ -162,10 +194,47 @@ fn threads_of(args: &ParsedArgs) -> Result<usize, Box<dyn Error>> {
     Ok(threads)
 }
 
+/// Builds `net`'s IRS summaries — exact, or vHLL sketches at `precision` —
+/// under a `build.reverse_scan` span and freezes them under
+/// `build.freeze`, recording the build and the arena's heap bytes into
+/// `rec`.
+fn build_frozen<R: Recorder>(
+    net: &InteractionNetwork,
+    window: Window,
+    precision: Option<u8>,
+    rec: &R,
+    ring: Option<&RingTracer>,
+) -> ServedOracle {
+    let scan = begin_root(ring, TraceEvent::BuildReverseScan);
+    let scanned = move || {
+        let interactions = metric_u64(net.interactions().len());
+        end_root(scan, TraceEvent::BuildReverseScan, interactions);
+        begin_root(ring, TraceEvent::BuildFreeze)
+    };
+    let (oracle, fz) = match precision {
+        None => {
+            let irs = ExactIrs::compute_recorded(net, window, rec);
+            let fz = scanned();
+            let frozen = irs.freeze_recorded(rec);
+            rec.gauge(Gauge::OracleHeapBytes, metric_u64(frozen.heap_bytes()));
+            (ServedOracle::FrozenExact(frozen), fz)
+        }
+        Some(precision) => {
+            let irs = ApproxIrs::compute_with_precision_recorded(net, window, precision, rec);
+            let fz = scanned();
+            let frozen = irs.freeze_recorded(rec);
+            rec.gauge(Gauge::OracleHeapBytes, metric_u64(frozen.heap_bytes()));
+            (ServedOracle::FrozenApprox(frozen), fz)
+        }
+    };
+    end_root(fz, TraceEvent::BuildFreeze, metric_u64(oracle.num_nodes()));
+    oracle
+}
+
 /// `infprop stats <file> [--units-per-day N]`
 pub fn stats(args: &ParsedArgs) -> CmdResult {
     let path = args.one_positional("expected exactly one input path")?;
-    let loaded = load(path)?;
+    let loaded = io::read_interactions_path(path)?;
     let net = &loaded.network;
     let units: i64 = args.parse_or("units-per-day", 86_400, "ticks per day")?;
     let s = NetworkStats::compute(net, units);
@@ -192,7 +261,7 @@ pub fn stats(args: &ParsedArgs) -> CmdResult {
 /// `infprop irs <file> --window-pct P [--exact] [--beta B] [--top K]`
 pub fn irs(args: &ParsedArgs) -> CmdResult {
     let path = args.one_positional("expected exactly one input path")?;
-    let loaded = load(path)?;
+    let loaded = io::read_interactions_path(path)?;
     let net = &loaded.network;
     let window = window_of(args, net)?;
     let top: usize = args.parse_or("top", 10, "an integer")?;
@@ -206,14 +275,7 @@ pub fn irs(args: &ParsedArgs) -> CmdResult {
             .collect();
     } else {
         let beta: usize = args.parse_or("beta", 512, "a power of two in [16, 65536]")?;
-        if !beta.is_power_of_two() || !(16..=65_536).contains(&beta) {
-            return Err(Box::new(ArgError::BadValue {
-                flag: "beta".into(),
-                value: beta.to_string(),
-                expected: "a power of two in [16, 65536]",
-            }));
-        }
-        let irs = ApproxIrs::compute_with_precision(net, window, beta.trailing_zeros() as u8);
+        let irs = ApproxIrs::compute_with_precision(net, window, beta_to_precision(beta)?);
         sizes = net
             .node_ids()
             .map(|u| (u, irs.irs_size_estimate(u)))
@@ -240,79 +302,23 @@ pub fn irs(args: &ParsedArgs) -> CmdResult {
 /// the sections they exercise are nonzero.
 pub fn topk(args: &ParsedArgs) -> CmdResult {
     let path = args.one_positional("expected exactly one input path")?;
-    let loaded = load(path)?;
+    let loaded = io::read_interactions_path(path)?;
     let net = &loaded.network;
     let window = window_of(args, net)?;
     let k: usize = args.parse_required("k", "an integer")?;
     let seed: u64 = args.parse_or("seed", 42, "an integer")?;
     let threads = threads_of(args)?;
     let method = args.optional("method").unwrap_or("irs");
-    let no_freeze = args.boolean("no-freeze");
     let recorder = metrics_requested(args).then(MetricsRecorder::new);
     let tracer = trace_requested(args, threads);
     let seeds: Vec<NodeId> = match method {
-        "irs" => {
-            let scan = begin_root(tracer.as_ref(), TraceEvent::BuildReverseScan);
-            let irs = match &recorder {
-                Some(rec) => {
-                    ApproxIrs::compute_with_precision_recorded(net, window, DEFAULT_PRECISION, rec)
-                }
-                None => ApproxIrs::compute(net, window),
+        "irs" | "irs-exact" => {
+            let precision = (method == "irs").then_some(DEFAULT_PRECISION);
+            let oracle = match &recorder {
+                Some(rec) => build_frozen(net, window, precision, rec, tracer.as_ref()),
+                None => build_frozen(net, window, precision, &NoopRecorder, tracer.as_ref()),
             };
-            end_root(
-                scan,
-                TraceEvent::BuildReverseScan,
-                metric_u64(net.interactions().len()),
-            );
-            let picks = if no_freeze {
-                let oracle = irs.oracle();
-                if let Some(rec) = &recorder {
-                    rec.gauge(Gauge::OracleHeapBytes, metric_u64(oracle.heap_bytes()));
-                }
-                greedy(&oracle, k, threads, recorder.as_ref(), tracer.as_ref())
-            } else {
-                let fz = begin_root(tracer.as_ref(), TraceEvent::BuildFreeze);
-                let oracle = match &recorder {
-                    Some(rec) => irs.freeze_recorded(rec),
-                    None => irs.freeze(),
-                };
-                end_root(fz, TraceEvent::BuildFreeze, metric_u64(oracle.num_nodes()));
-                if let Some(rec) = &recorder {
-                    rec.gauge(Gauge::OracleHeapBytes, metric_u64(oracle.heap_bytes()));
-                }
-                greedy(&oracle, k, threads, recorder.as_ref(), tracer.as_ref())
-            };
-            picks.into_iter().map(|s| s.node).collect()
-        }
-        "irs-exact" => {
-            let scan = begin_root(tracer.as_ref(), TraceEvent::BuildReverseScan);
-            let irs = match &recorder {
-                Some(rec) => ExactIrs::compute_recorded(net, window, rec),
-                None => ExactIrs::compute(net, window),
-            };
-            end_root(
-                scan,
-                TraceEvent::BuildReverseScan,
-                metric_u64(net.interactions().len()),
-            );
-            let picks = if no_freeze {
-                let oracle = irs.oracle();
-                if let Some(rec) = &recorder {
-                    rec.gauge(Gauge::OracleHeapBytes, metric_u64(oracle.heap_bytes()));
-                }
-                greedy(&oracle, k, threads, recorder.as_ref(), tracer.as_ref())
-            } else {
-                let fz = begin_root(tracer.as_ref(), TraceEvent::BuildFreeze);
-                let oracle = match &recorder {
-                    Some(rec) => irs.freeze_recorded(rec),
-                    None => irs.freeze(),
-                };
-                end_root(fz, TraceEvent::BuildFreeze, metric_u64(oracle.num_nodes()));
-                if let Some(rec) = &recorder {
-                    rec.gauge(Gauge::OracleHeapBytes, metric_u64(oracle.heap_bytes()));
-                }
-                greedy(&oracle, k, threads, recorder.as_ref(), tracer.as_ref())
-            };
+            let picks = top_k(&oracle, k, threads, recorder.as_ref(), tracer.as_ref());
             picks.into_iter().map(|s| s.node).collect()
         }
         "pagerank" => pagerank_top_k(&net.to_static(), k, &PageRankConfig::default()),
@@ -347,13 +353,7 @@ pub fn topk(args: &ParsedArgs) -> CmdResult {
         let label = loaded.interner.label(*u).unwrap_or("?");
         println!("{:>3}. {label}", rank + 1);
     }
-    if let Some(rec) = &recorder {
-        emit_metrics(args, rec)?;
-    }
-    if let Some(ring) = &tracer {
-        emit_trace(args, ring)?;
-    }
-    Ok(())
+    emit(args, recorder.as_ref(), tracer.as_ref())
 }
 
 /// `infprop simulate <file> --seeds a,b,c --window-pct P [--p F] [--runs N]
@@ -366,7 +366,7 @@ pub fn topk(args: &ParsedArgs) -> CmdResult {
 /// one invocation.
 pub fn simulate(args: &ParsedArgs) -> CmdResult {
     let path = args.one_positional("expected exactly one input path")?;
-    let loaded = load(path)?;
+    let loaded = io::read_interactions_path(path)?;
     let net = &loaded.network;
     let window = window_of(args, net)?;
     let ids = args.node_list("seeds")?;
@@ -421,28 +421,18 @@ pub fn simulate(args: &ParsedArgs) -> CmdResult {
         }
         rec.add(Counter::SimRuns, metric_u64(runs));
         let irs = ApproxIrs::compute_with_precision_recorded(net, window, DEFAULT_PRECISION, rec);
-        let estimate = if args.boolean("no-freeze") {
-            let oracle = irs.oracle();
-            rec.gauge(Gauge::OracleHeapBytes, metric_u64(oracle.heap_bytes()));
-            oracle.influence_recorded(&seeds, rec)
-        } else {
-            let oracle = irs.freeze_recorded(rec);
-            rec.gauge(Gauge::OracleHeapBytes, metric_u64(oracle.heap_bytes()));
-            oracle.influence_recorded(&seeds, rec)
-        };
+        let oracle = irs.freeze_recorded(rec);
+        rec.gauge(Gauge::OracleHeapBytes, metric_u64(oracle.heap_bytes()));
+        let estimate = oracle.influence_recorded(&seeds, rec);
         println!("irs oracle estimate Inf(S) = {estimate:.1}");
-        emit_metrics(args, rec)?;
     }
-    if let Some(ring) = &tracer {
-        emit_trace(args, ring)?;
-    }
-    Ok(())
+    emit(args, recorder.as_ref(), tracer.as_ref())
 }
 
 /// `infprop channel <file> --from U --to V --window-pct P`
 pub fn channel(args: &ParsedArgs) -> CmdResult {
     let path = args.one_positional("expected exactly one input path")?;
-    let loaded = load(path)?;
+    let loaded = io::read_interactions_path(path)?;
     let net = &loaded.network;
     let window = window_of(args, net)?;
     let from: u32 = args.parse_required("from", "a node id")?;
@@ -509,7 +499,7 @@ pub fn generate(args: &ParsedArgs) -> CmdResult {
 /// `oracle.*` sections (plus `frozen.bytes` under `--frozen`).
 pub fn oracle_build(args: &ParsedArgs) -> CmdResult {
     let path = args.one_positional("expected exactly one input path")?;
-    let loaded = load(path)?;
+    let loaded = io::read_interactions_path(path)?;
     let net = &loaded.network;
     let window = window_of(args, net)?;
     let out = args.required("out")?;
@@ -519,13 +509,7 @@ pub fn oracle_build(args: &ParsedArgs) -> CmdResult {
     let tracer = trace_requested(args, threads);
     if args.boolean("layered") {
         build_layered(args, net, window, out, &recorder, tracer.as_ref())?;
-        if let Some(rec) = &recorder {
-            emit_metrics(args, rec)?;
-        }
-        if let Some(ring) = &tracer {
-            emit_trace(args, ring)?;
-        }
-        return Ok(());
+        return emit(args, recorder.as_ref(), tracer.as_ref());
     }
     let mut w = BufWriter::new(File::create(out)?);
     if args.boolean("exact") {
@@ -615,13 +599,7 @@ pub fn oracle_build(args: &ParsedArgs) -> CmdResult {
             }
         }
     }
-    if let Some(rec) = &recorder {
-        emit_metrics(args, rec)?;
-    }
-    if let Some(ring) = &tracer {
-        emit_trace(args, ring)?;
-    }
-    Ok(())
+    emit(args, recorder.as_ref(), tracer.as_ref())
 }
 
 /// `build --layered`: builds the base arena from the network, seeds the
@@ -741,13 +719,7 @@ pub fn append(args: &ParsedArgs) -> CmdResult {
         "appended {} interactions to {dir} (generation {generation}, {pending} pending)",
         batch.len()
     );
-    if let Some(rec) = &recorder {
-        emit_metrics(args, rec)?;
-    }
-    if let Some(ring) = &tracer {
-        emit_trace(args, ring)?;
-    }
-    Ok(())
+    emit(args, recorder.as_ref(), tracer.as_ref())
 }
 
 /// Opens the layered directory `dir`, buffers `batch` into its pending log
@@ -791,13 +763,7 @@ pub fn compact(args: &ParsedArgs) -> CmdResult {
     println!(
         "compacted {dir}: generation {generation}, {expired} interactions expired, {tail} in tail"
     );
-    if let Some(rec) = &recorder {
-        emit_metrics(args, rec)?;
-    }
-    if let Some(ring) = &tracer {
-        emit_trace(args, ring)?;
-    }
-    Ok(())
+    emit(args, recorder.as_ref(), tracer.as_ref())
 }
 
 /// Opens the layered directory `dir`, compacts it and saves the next
@@ -821,188 +787,6 @@ fn compact_layered<B: FrozenLayer>(
     Ok((oracle.generation(), before - tail, tail))
 }
 
-/// One loaded oracle of any supported on-disk format, unified for the
-/// query loop of [`oracle_query`].
-enum LoadedOracle {
-    ExactSummaries(ExactIrs),
-    FrozenExact(FrozenExactOracle),
-    FrozenApprox(FrozenApproxOracle),
-    Sketches(ApproxOracle),
-    LayeredExact(Box<LayeredExactOracle>),
-    LayeredApprox(Box<LayeredApproxOracle>),
-}
-
-impl LoadedOracle {
-    /// Human-readable description of the detected on-disk format.
-    fn format(&self) -> String {
-        match self {
-            LoadedOracle::ExactSummaries(_) => "IPEI exact summaries (live)".into(),
-            LoadedOracle::FrozenExact(_) => "IPFE frozen exact arena".into(),
-            LoadedOracle::FrozenApprox(_) => "IPFA frozen register arena".into(),
-            LoadedOracle::Sketches(_) => "IPAO sketch oracle (live)".into(),
-            LoadedOracle::LayeredExact(o) => {
-                format!(
-                    "layered exact oracle directory (generation {}, {} pending)",
-                    o.generation(),
-                    o.delta().pending().len()
-                )
-            }
-            LoadedOracle::LayeredApprox(o) => {
-                format!(
-                    "layered sketch oracle directory (generation {}, {} pending)",
-                    o.generation(),
-                    o.delta().pending().len()
-                )
-            }
-        }
-    }
-
-    fn num_nodes(&self) -> usize {
-        match self {
-            LoadedOracle::ExactSummaries(v) => v.num_nodes(),
-            LoadedOracle::FrozenExact(v) => v.num_nodes(),
-            LoadedOracle::FrozenApprox(v) => v.num_nodes(),
-            LoadedOracle::Sketches(v) => v.num_nodes(),
-            LoadedOracle::LayeredExact(v) => InfluenceOracle::num_nodes(v.as_ref()),
-            LoadedOracle::LayeredApprox(v) => InfluenceOracle::num_nodes(v.as_ref()),
-        }
-    }
-
-    fn influence(&self, seeds: &[NodeId], rec: Option<&MetricsRecorder>) -> f64 {
-        match rec {
-            Some(rec) => match self {
-                LoadedOracle::ExactSummaries(v) => v.oracle().influence_recorded(seeds, rec),
-                LoadedOracle::FrozenExact(v) => v.influence_recorded(seeds, rec),
-                LoadedOracle::FrozenApprox(v) => v.influence_recorded(seeds, rec),
-                LoadedOracle::Sketches(v) => v.influence_recorded(seeds, rec),
-                LoadedOracle::LayeredExact(v) => v.influence_recorded(seeds, rec),
-                LoadedOracle::LayeredApprox(v) => v.influence_recorded(seeds, rec),
-            },
-            None => match self {
-                LoadedOracle::ExactSummaries(v) => v.oracle().influence(seeds),
-                LoadedOracle::FrozenExact(v) => v.influence(seeds),
-                LoadedOracle::FrozenApprox(v) => v.influence(seeds),
-                LoadedOracle::Sketches(v) => v.influence(seeds),
-                LoadedOracle::LayeredExact(v) => v.influence(seeds),
-                LoadedOracle::LayeredApprox(v) => v.influence(seeds),
-            },
-        }
-    }
-
-    /// Answers every seed set through the true batch API where the format
-    /// has one (frozen arenas and layered oracles), amortizing seed dedup
-    /// and per-query scratch across the whole file and fanning out over
-    /// `threads` workers. The live single-file formats (`IPEI`/`IPAO`)
-    /// have no frozen arena to batch over, so they fall back to the
-    /// per-query path — timed per query under `kernel.query_ns` so the
-    /// latency summary is available for every format.
-    fn influence_many(
-        &self,
-        seed_sets: &[Vec<NodeId>],
-        threads: usize,
-        rec: Option<&MetricsRecorder>,
-        ring: Option<&RingTracer>,
-    ) -> Vec<f64> {
-        if let Some(r) = ring {
-            return self.influence_many_traced(seed_sets, threads, rec, r);
-        }
-        match rec {
-            Some(rec) => match self {
-                LoadedOracle::FrozenExact(v) => {
-                    v.influence_many_frozen_traced(seed_sets, threads, rec, NoopTracer)
-                }
-                LoadedOracle::FrozenApprox(v) => {
-                    v.influence_many_frozen_traced(seed_sets, threads, rec, NoopTracer)
-                }
-                LoadedOracle::LayeredExact(v) => {
-                    v.influence_many_frozen_traced(seed_sets, threads, rec, NoopTracer)
-                }
-                LoadedOracle::LayeredApprox(v) => {
-                    v.influence_many_frozen_traced(seed_sets, threads, rec, NoopTracer)
-                }
-                live => seed_sets
-                    .iter()
-                    .map(|seeds| {
-                        let tq = rec.span_start();
-                        let influence = live.influence(seeds, Some(rec));
-                        if let Some(ns) = tq.elapsed_ns() {
-                            rec.record(Hist::KernelQueryNs, ns);
-                        }
-                        influence
-                    })
-                    .collect(),
-            },
-            None => match self {
-                LoadedOracle::FrozenExact(v) => v.influence_many_frozen(seed_sets, threads),
-                LoadedOracle::FrozenApprox(v) => v.influence_many_frozen(seed_sets, threads),
-                LoadedOracle::LayeredExact(v) => v.influence_many_frozen(seed_sets, threads),
-                LoadedOracle::LayeredApprox(v) => v.influence_many_frozen(seed_sets, threads),
-                live => seed_sets
-                    .iter()
-                    .map(|seeds| live.influence(seeds, None))
-                    .collect(),
-            },
-        }
-    }
-
-    /// Traced twin of [`LoadedOracle::influence_many`]: frozen and layered
-    /// formats answer through the traced batch kernel (one trace per batch
-    /// element, `query.batch` + `query.element` spans on lane 0); live
-    /// single-file formats keep their per-query fallback, wrapped in a
-    /// CLI-level `query.batch` span with one `query.element` span per line.
-    fn influence_many_traced(
-        &self,
-        seed_sets: &[Vec<NodeId>],
-        threads: usize,
-        rec: Option<&MetricsRecorder>,
-        ring: &RingTracer,
-    ) -> Vec<f64> {
-        macro_rules! frozen_traced {
-            ($v:expr) => {
-                match rec {
-                    Some(rec) => {
-                        $v.influence_many_frozen_traced(seed_sets, threads, rec, ring.lane(0))
-                    }
-                    None => $v.influence_many_frozen_traced(
-                        seed_sets,
-                        threads,
-                        &NoopRecorder,
-                        ring.lane(0),
-                    ),
-                }
-            };
-        }
-        match self {
-            LoadedOracle::FrozenExact(v) => frozen_traced!(v),
-            LoadedOracle::FrozenApprox(v) => frozen_traced!(v),
-            LoadedOracle::LayeredExact(v) => frozen_traced!(v),
-            LoadedOracle::LayeredApprox(v) => frozen_traced!(v),
-            live => {
-                let t = ring.lane(0);
-                let trace = TraceId(t.alloc_traces(1));
-                let batch = t.begin(trace, SpanId::NONE, TraceEvent::QueryBatch);
-                let answers = seed_sets
-                    .iter()
-                    .map(|seeds| {
-                        let sp = t.begin(trace, batch, TraceEvent::QueryElement);
-                        let tq = rec.map(|rec| rec.span_start());
-                        let influence = live.influence(seeds, rec);
-                        if let (Some(rec), Some(tq)) = (rec, tq) {
-                            if let Some(ns) = tq.elapsed_ns() {
-                                rec.record(Hist::KernelQueryNs, ns);
-                            }
-                        }
-                        t.end(sp, TraceEvent::QueryElement, metric_u64(seeds.len()));
-                        influence
-                    })
-                    .collect();
-                t.end(batch, TraceEvent::QueryBatch, metric_u64(seed_sets.len()));
-                answers
-            }
-        }
-    }
-}
-
 /// Rewrites a [`CodecError`] from a frozen-arena load into a precise,
 /// format-aware message: which format was detected, which layout version
 /// the file carries, and which version this build reads. Several layout
@@ -1024,195 +808,166 @@ fn describe_arena_error(format: &str, current: u8, err: CodecError) -> Box<dyn E
     }
 }
 
-/// Loads any supported oracle artefact: a layered directory (dispatched
-/// through its `MANIFEST`) or a single file (format detected by magic).
-/// Frozen arenas load zero-copy through
-/// [`ArenaBytes`](infprop_core::ArenaBytes) — `mmap(2)` when built with
-/// `--features mmap`, one aligned bulk read otherwise — then get the deep
-/// per-byte validation the structural load skips.
-fn load_oracle(path: &str) -> Result<LoadedOracle, Box<dyn Error>> {
-    if std::fs::metadata(path)?.is_dir() {
-        let dir = Path::new(path);
-        let manifest = LayeredManifest::read_from_dir(dir)?;
-        return Ok(match manifest.kind {
-            LayeredKind::Exact => {
-                LoadedOracle::LayeredExact(Box::new(LayeredExactOracle::open_layered(dir)?))
-            }
-            LayeredKind::Approx => {
-                LoadedOracle::LayeredApprox(Box::new(LayeredApproxOracle::open_layered(dir)?))
-            }
-        });
-    }
-    let mut magic = [0u8; 4];
-    {
-        use std::io::Read;
-        File::open(path)?.read_exact(&mut magic)?;
-    }
-    Ok(match &magic {
-        b"IPEI" => {
-            let mut r = BufReader::new(File::open(path)?);
-            LoadedOracle::ExactSummaries(ExactIrs::read_from(&mut r)?)
+/// An oracle artefact loaded by [`open_oracle`].
+struct Loaded {
+    oracle: ServedOracle,
+    /// What `format:` lines print: the detected artefact and, for a
+    /// layered directory, its generation and pending log.
+    format: String,
+    /// Wall time of the load.
+    load_ns: u64,
+}
+
+/// Loads any of the six oracle artefacts through
+/// [`ServedOracle::open_as`] — frozen arenas and layered directories load
+/// zero-copy through [`ArenaBytes`](infprop_core::ArenaBytes) (`mmap(2)`
+/// when built with `--features mmap`, one aligned bulk read otherwise) and
+/// are validated deeply, `IPEI` and `IPAO` files are read and frozen. The
+/// load always runs timed, and is recorded into `rec`; a load error names
+/// the detected artefact.
+fn open_oracle(path: &str, rec: Option<&MetricsRecorder>) -> Result<Loaded, Box<dyn Error>> {
+    let artefact = Artefact::detect(Path::new(path))?;
+    let clock = MetricsRecorder::new();
+    let t0 = clock.span_start();
+    let opened = match rec {
+        Some(rec) => ServedOracle::open_as(Path::new(path), artefact, rec),
+        None => ServedOracle::open_as(Path::new(path), artefact, &NoopRecorder),
+    };
+    let load_ns = t0.elapsed_ns().unwrap_or(0);
+    let name = artefact.name();
+    let oracle = opened.map_err(|e| match artefact {
+        Artefact::FrozenExact => describe_arena_error(name, FROZEN_EXACT_LAYOUT_VERSION, e),
+        Artefact::FrozenApprox => describe_arena_error(name, FROZEN_APPROX_LAYOUT_VERSION, e),
+        _ => format!("{name}: {e}").into(),
+    })?;
+    let format = match &oracle {
+        ServedOracle::LayeredExact(o) => layered_format(name, o),
+        ServedOracle::LayeredApprox(o) => layered_format(name, o),
+        _ if matches!(artefact, Artefact::ExactSummaries | Artefact::Sketches) => {
+            format!("{name} (frozen at load)")
         }
-        b"IPFE" => {
-            let oracle = FrozenExactOracle::load(Path::new(path)).map_err(|e| {
-                describe_arena_error("IPFE frozen exact arena", FROZEN_EXACT_LAYOUT_VERSION, e)
-            })?;
-            oracle
-                .validate()
-                .map_err(|v| format!("IPFE frozen exact arena: {v}"))?;
-            LoadedOracle::FrozenExact(oracle)
-        }
-        b"IPFA" => {
-            let oracle = FrozenApproxOracle::load(Path::new(path)).map_err(|e| {
-                describe_arena_error(
-                    "IPFA frozen register arena",
-                    FROZEN_APPROX_LAYOUT_VERSION,
-                    e,
-                )
-            })?;
-            oracle
-                .validate()
-                .map_err(|v| format!("IPFA frozen register arena: {v}"))?;
-            LoadedOracle::FrozenApprox(oracle)
-        }
-        _ => {
-            let mut r = BufReader::new(File::open(path)?);
-            LoadedOracle::Sketches(ApproxOracle::read_from(&mut r)?)
-        }
+        _ => name.to_owned(),
+    };
+    Ok(Loaded {
+        oracle,
+        format,
+        load_ns,
     })
+}
+
+/// The `format:` line of a layered directory.
+fn layered_format<B: FrozenLayer>(name: &str, oracle: &Layered<B>) -> String {
+    format!(
+        "{name} (generation {}, {} pending)",
+        oracle.generation(),
+        oracle.delta().pending().len()
+    )
+}
+
+/// Fails on the first node id at or past `n`, naming `flag`.
+fn check_ids(flag: &str, seeds: &[NodeId], n: usize) -> Result<(), ArgError> {
+    match seeds.iter().find(|s| s.index() >= n) {
+        Some(s) => Err(ArgError::BadValue {
+            flag: flag.into(),
+            value: s.to_string(),
+            expected: "node ids inside the oracle",
+        }),
+        None => Ok(()),
+    }
+}
+
+/// Seed sets, each with the label its answer prints under.
+type Labelled = (Vec<String>, Vec<Vec<NodeId>>);
+
+/// Reads a `--queries` file: one comma-separated seed set per line, blank
+/// lines and `#` comments skipped. Returns every set's line (its label)
+/// and the sets, all ids checked against an `n`-node oracle.
+fn read_queries(path: &str, n: usize) -> Result<Labelled, Box<dyn Error>> {
+    let text = std::fs::read_to_string(path)?;
+    let mut labels = Vec::new();
+    let mut seed_sets = Vec::new();
+    for line in text.lines().map(str::trim) {
+        if line.is_empty() || line.starts_with('#') {
+            continue;
+        }
+        let mut seeds = Vec::new();
+        for tok in line.split(',').filter(|t| !t.trim().is_empty()) {
+            let id: u32 = tok
+                .trim()
+                .parse()
+                .map_err(|_| format!("{path}: bad node id {tok:?}"))?;
+            seeds.push(NodeId(id));
+        }
+        check_ids("queries", &seeds, n)?;
+        labels.push(line.to_owned());
+        seed_sets.push(seeds);
+    }
+    Ok((labels, seed_sets))
+}
+
+/// A deterministic workload of `count` three-seed sets striding the id
+/// space of an `n`-node oracle (empty sets when `n == 0`), so repeated runs
+/// are comparable without a query file.
+fn strided_queries(count: usize, n: usize) -> Vec<Vec<NodeId>> {
+    let width = if n == 0 { 0 } else { 3 };
+    (0..count)
+        .map(|q| {
+            (0..width)
+                .map(|j| NodeId(((q * 7 + j * 11 + 1) % n) as u32))
+                .collect()
+        })
+        .collect()
 }
 
 /// `infprop oracle-query <oracle-path> (--seeds a,b,c | --queries FILE)
 ///  [--threads N] [--metrics] [--metrics-out PATH]`
 ///
-/// `<oracle-path>` is a single-file oracle (format detected by magic:
-/// `IPAO` sketches, `IPEI` exact summaries, frozen arenas `IPFE`/`IPFA`)
-/// or a layered oracle directory written by `build --layered` (detected
-/// by its `MANIFEST`). `--queries FILE` answers one seed set per line
-/// (comma-separated node ids): the whole file is parsed up front and
-/// answered in one call through the frozen batch API (`--threads N`
-/// controls the fan-out; live formats fall back to a per-query loop).
-/// With `--metrics`, the detected format is printed, the load is timed
-/// under the `oracle.load` span, every query is counted in the
-/// `oracle.*`/`kernel.*` sections of the snapshot, and the batch prints
-/// a per-query p50/p99/p999/mean latency line from the
-/// `kernel.query_ns` histogram. With `--trace-out FILE`, the load and
-/// every query run under the causal tracer and the run is exported as
+/// `<oracle-path>` is any of the six oracle artefacts [`open_oracle`]
+/// loads. `--queries FILE` answers one seed set per line (comma-separated
+/// node ids) and `--seeds` answers one set; either way the whole workload
+/// is answered in one call through the batch kernel (`--threads N`
+/// controls the fan-out). With `--metrics`, the load latency and the
+/// detected format are printed, the load is timed under the `oracle.load`
+/// span, every query is counted in the `oracle.*`/`kernel.*` sections of
+/// the snapshot, and a per-query p50/p99/p999/mean latency line is printed
+/// from the `kernel.query_ns` histogram. With `--trace-out FILE`, the load
+/// and every query run under the causal tracer and the run is exported as
 /// Chrome Trace Event JSON.
 pub fn oracle_query(args: &ParsedArgs) -> CmdResult {
     let path = args.one_positional("expected exactly one oracle path")?;
     let threads = threads_of(args)?;
     let recorder = metrics_requested(args).then(MetricsRecorder::new);
     let tracer = trace_requested(args, threads);
-    let load_start = recorder.as_ref().map(|rec| rec.span_start());
     let load_sp = begin_root(tracer.as_ref(), TraceEvent::LoadOracle);
-    let oracle = load_oracle(path)?;
-    end_root(
-        load_sp,
-        TraceEvent::LoadOracle,
-        metric_u64(oracle.num_nodes()),
-    );
-    if let (Some(rec), Some(start)) = (&recorder, load_start) {
-        if let Some(ns) = start.elapsed_ns() {
-            rec.record(Hist::OracleLoadNs, ns);
-            println!("load latency: {:.3} ms", ns as f64 / 1e6);
-        }
-        rec.span_end(Span::OracleLoad, start);
-        println!("format: {}", oracle.format());
+    let loaded = open_oracle(path, recorder.as_ref())?;
+    let n = loaded.oracle.num_nodes();
+    end_root(load_sp, TraceEvent::LoadOracle, metric_u64(n));
+    if recorder.is_some() {
+        println!("load latency: {:.3} ms", loaded.load_ns as f64 / 1e6);
+        println!("format: {}", loaded.format);
     }
-    let n = oracle.num_nodes();
-    let check_seeds = |seeds: &[NodeId]| -> Result<(), ArgError> {
-        for s in seeds {
-            if s.index() >= n {
-                return Err(ArgError::BadValue {
-                    flag: "seeds".into(),
-                    value: s.to_string(),
-                    expected: "node ids inside the oracle",
-                });
-            }
+    let (labels, seed_sets) = match args.optional("queries") {
+        Some(queries) => read_queries(queries, n)?,
+        None => {
+            let seeds: Vec<NodeId> = args.node_list("seeds")?.into_iter().map(NodeId).collect();
+            check_ids("seeds", &seeds, n)?;
+            (vec!["S".to_owned()], vec![seeds])
         }
-        Ok(())
     };
-    if let Some(queries) = args.optional("queries") {
-        // Parse the whole file up front so every query goes through the
-        // batch API in one call: dedup, scratch, and thread fan-out are
-        // amortized across the file instead of paid per line.
-        let text = std::fs::read_to_string(queries)?;
-        let mut labels: Vec<&str> = Vec::new();
-        let mut seed_sets: Vec<Vec<NodeId>> = Vec::new();
-        for line in text.lines() {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let mut seeds = Vec::new();
-            for tok in line.split(',').filter(|t| !t.trim().is_empty()) {
-                let id: u32 = tok
-                    .trim()
-                    .parse()
-                    .map_err(|_| format!("{queries}: bad node id {tok:?}"))?;
-                seeds.push(NodeId(id));
-            }
-            check_seeds(&seeds)?;
-            labels.push(line);
-            seed_sets.push(seeds);
-        }
-        let answers =
-            oracle.influence_many(&seed_sets, threads, recorder.as_ref(), tracer.as_ref());
-        for (line, influence) in labels.iter().zip(&answers) {
-            println!("Inf({line}) = {influence:.1}");
-        }
-        if let Some(rec) = &recorder {
-            let snap = rec.snapshot();
-            if let Some(h) = snap
-                .hists
-                .iter()
-                .find(|h| h.name == Hist::KernelQueryNs.name() && h.count > 0)
-            {
-                println!(
-                    "per-query latency: p50 {} ns, p99 {} ns, p999 {} ns, mean {:.1} ns over {} queries",
-                    h.quantile(0.50),
-                    h.quantile(0.99),
-                    h.quantile(0.999),
-                    h.mean(),
-                    h.count
-                );
-            }
-        }
-    } else {
-        let ids = args.node_list("seeds")?;
-        let seeds: Vec<NodeId> = ids.into_iter().map(NodeId).collect();
-        check_seeds(&seeds)?;
-        let q = begin_root(tracer.as_ref(), TraceEvent::QueryBatch);
-        let influence = oracle.influence(&seeds, recorder.as_ref());
-        end_root(q, TraceEvent::QueryBatch, 1);
-        println!("Inf(S) = {influence:.1}");
+    let answers = query_batch(
+        &loaded.oracle,
+        &seed_sets,
+        threads,
+        recorder.as_ref(),
+        tracer.as_ref(),
+    );
+    for (label, influence) in labels.iter().zip(&answers) {
+        println!("Inf({label}) = {influence:.1}");
     }
     if let Some(rec) = &recorder {
-        emit_metrics(args, rec)?;
+        print_latency(rec, Hist::KernelQueryNs, "query", "queries");
     }
-    if let Some(ring) = &tracer {
-        emit_trace(args, ring)?;
-    }
-    Ok(())
-}
-
-/// Greedy selection over any loaded oracle format (used by `profile`).
-fn greedy_any(
-    oracle: &LoadedOracle,
-    k: usize,
-    threads: usize,
-    rec: Option<&MetricsRecorder>,
-    ring: Option<&RingTracer>,
-) -> Vec<Selection> {
-    match oracle {
-        LoadedOracle::ExactSummaries(v) => greedy(&v.oracle(), k, threads, rec, ring),
-        LoadedOracle::FrozenExact(v) => greedy(v, k, threads, rec, ring),
-        LoadedOracle::FrozenApprox(v) => greedy(v, k, threads, rec, ring),
-        LoadedOracle::Sketches(v) => greedy(v, k, threads, rec, ring),
-        LoadedOracle::LayeredExact(v) => greedy(v.as_ref(), k, threads, rec, ring),
-        LoadedOracle::LayeredApprox(v) => greedy(v.as_ref(), k, threads, rec, ring),
-    }
+    emit(args, recorder.as_ref(), tracer.as_ref())
 }
 
 /// `infprop profile <oracle-path> [--queries FILE | --rounds N] [--k K]
@@ -1236,70 +991,23 @@ pub fn profile(args: &ParsedArgs) -> CmdResult {
     let root_trace = TraceId(t.alloc_traces(1));
     let root = t.begin(root_trace, SpanId::NONE, TraceEvent::ProfileRun);
 
-    let load_start = recorder.as_ref().map(|rec| rec.span_start());
     let load_sp = t.begin(root_trace, root, TraceEvent::LoadOracle);
-    let oracle = load_oracle(path)?;
-    t.end(
-        load_sp,
-        TraceEvent::LoadOracle,
-        metric_u64(oracle.num_nodes()),
-    );
-    if let (Some(rec), Some(start)) = (&recorder, load_start) {
-        if let Some(ns) = start.elapsed_ns() {
-            rec.record(Hist::OracleLoadNs, ns);
-        }
-        rec.span_end(Span::OracleLoad, start);
-    }
-    println!("format: {}", oracle.format());
-    let n = oracle.num_nodes();
+    let loaded = open_oracle(path, recorder.as_ref())?;
+    let n = loaded.oracle.num_nodes();
+    t.end(load_sp, TraceEvent::LoadOracle, metric_u64(n));
+    println!("format: {}", loaded.format);
 
-    let seed_sets: Vec<Vec<NodeId>> = match args.optional("queries") {
-        Some(queries) => {
-            let text = std::fs::read_to_string(queries)?;
-            let mut sets = Vec::new();
-            for line in text.lines() {
-                let line = line.trim();
-                if line.is_empty() || line.starts_with('#') {
-                    continue;
-                }
-                let mut seeds = Vec::new();
-                for tok in line.split(',').filter(|tk| !tk.trim().is_empty()) {
-                    let id: u32 = tok
-                        .trim()
-                        .parse()
-                        .map_err(|_| format!("{queries}: bad node id {tok:?}"))?;
-                    if (id as usize) >= n {
-                        return Err(Box::new(ArgError::BadValue {
-                            flag: "queries".into(),
-                            value: id.to_string(),
-                            expected: "node ids inside the oracle",
-                        }));
-                    }
-                    seeds.push(NodeId(id));
-                }
-                sets.push(seeds);
-            }
-            sets
-        }
-        None => {
-            // Deterministic synthetic workload: `--rounds` three-seed
-            // queries striding the id space so repeated runs are
-            // comparable without a query file.
-            let rounds: usize = args.parse_or("rounds", 64, "an integer")?;
-            (0..rounds)
-                .map(|q| {
-                    if n == 0 {
-                        Vec::new()
-                    } else {
-                        (0..3)
-                            .map(|j| NodeId(((q * 7 + j * 11 + 1) % n) as u32))
-                            .collect()
-                    }
-                })
-                .collect()
-        }
+    let seed_sets = match args.optional("queries") {
+        Some(queries) => read_queries(queries, n)?.1,
+        None => strided_queries(args.parse_or("rounds", 64, "an integer")?, n),
     };
-    let answers = oracle.influence_many(&seed_sets, threads, recorder.as_ref(), Some(&ring));
+    let answers = query_batch(
+        &loaded.oracle,
+        &seed_sets,
+        threads,
+        recorder.as_ref(),
+        Some(&ring),
+    );
     let total: f64 = answers.iter().sum();
     println!(
         "answered {} queries (sum of Inf = {total:.1})",
@@ -1308,7 +1016,7 @@ pub fn profile(args: &ParsedArgs) -> CmdResult {
 
     let k: usize = args.parse_or("k", 0, "an integer")?;
     if k > 0 {
-        let picks = greedy_any(&oracle, k, threads, recorder.as_ref(), Some(&ring));
+        let picks = top_k(&loaded.oracle, k, threads, recorder.as_ref(), Some(&ring));
         let ids: Vec<String> = picks.iter().map(|s| s.node.0.to_string()).collect();
         println!("greedy top-{k}: [{}]", ids.join(", "));
     }
@@ -1345,11 +1053,7 @@ pub fn profile(args: &ParsedArgs) -> CmdResult {
             );
         }
     }
-    if let Some(rec) = &recorder {
-        emit_metrics(args, rec)?;
-    }
-    emit_trace(args, &ring)?;
-    Ok(())
+    emit(args, recorder.as_ref(), Some(&ring))
 }
 
 /// Parses the `--socket`/`--tcp` listener flags shared by `serve` and
@@ -1365,12 +1069,12 @@ fn listener_flags(args: &ParsedArgs) -> (Option<String>, Option<String>) {
 /// `infprop serve <oracle-path>… (--socket PATH | --tcp ADDR) [--threads N]
 ///  [--metrics] [--metrics-out FILE] [--trace-out FILE]`
 ///
-/// Maps one or more frozen arenas / layered directories zero-copy and
-/// serves `influence`/`topk`/`summary` requests over the length-prefixed
-/// binary protocol (see DESIGN.md §15) until a client sends a `SHUTDOWN`
-/// frame. Oracle indices in requests follow the positional order given
-/// here. Each arena's load is timed into the `oracle.load_ns` histogram
-/// and printed as a latency line; with `--metrics` the final snapshot
+/// Loads one or more oracle artefacts ([`open_oracle`]) and serves
+/// `influence`/`topk`/`summary` requests over the length-prefixed binary
+/// protocol (see DESIGN.md §15) until a client sends a `SHUTDOWN` frame.
+/// Oracle indices in requests follow the positional order given here.
+/// Each load is timed into the `oracle.load_ns` histogram and printed as
+/// a latency line; with `--metrics` the final snapshot
 /// (including the `serve.*` counters and request latency histograms) is
 /// emitted on shutdown, and `--trace-out` exports every `serve.request`
 /// span from the flight ring.
@@ -1385,25 +1089,16 @@ pub fn serve(args: &ParsedArgs) -> CmdResult {
     }
     let recorder = metrics_requested(args).then(MetricsRecorder::new);
     let ring = trace_requested(args, threads);
-    // Loads always run timed: the latency line is part of the serve
-    // contract, not a `--metrics` extra.
-    let load_clock = MetricsRecorder::new();
     let mut oracles = Vec::with_capacity(args.positional.len());
     for path in &args.positional {
-        let t0 = load_clock.span_start();
-        let oracle = match &recorder {
-            Some(rec) => serving::ServedOracle::open_recorded(Path::new(path), rec),
-            None => serving::ServedOracle::open_recorded(Path::new(path), &NoopRecorder),
-        }
-        .map_err(|e| format!("{path}: {e}"))?;
-        let ns = t0.elapsed_ns().unwrap_or(0);
+        let loaded = open_oracle(path, recorder.as_ref()).map_err(|e| format!("{path}: {e}"))?;
         println!(
             "oracle {}: {path}: {} — load latency: {:.3} ms",
             oracles.len(),
-            oracle.describe(),
-            ns as f64 / 1e6
+            loaded.oracle.describe(),
+            loaded.load_ns as f64 / 1e6
         );
-        oracles.push(oracle);
+        oracles.push(loaded.oracle);
     }
     let config = serving::ServerConfig {
         unix_path: socket.map(Into::into),
@@ -1429,27 +1124,9 @@ pub fn serve(args: &ParsedArgs) -> CmdResult {
     }
     println!("server drained");
     if let Some(rec) = &recorder {
-        let snap = rec.snapshot();
-        if let Some(h) = snap
-            .hists
-            .iter()
-            .find(|h| h.name == Hist::ServeRequestNs.name() && h.count > 0)
-        {
-            println!(
-                "per-request latency: p50 {} ns, p99 {} ns, p999 {} ns, mean {:.1} ns over {} requests",
-                h.quantile(0.50),
-                h.quantile(0.99),
-                h.quantile(0.999),
-                h.mean(),
-                h.count
-            );
-        }
-        emit_metrics(args, rec)?;
+        print_latency(rec, Hist::ServeRequestNs, "request", "requests");
     }
-    if let Some(r) = &ring {
-        emit_trace(args, r)?;
-    }
-    Ok(())
+    emit(args, recorder.as_ref(), ring.as_ref())
 }
 
 /// Exact quantile from a sorted latency sample (the bench client keeps raw
@@ -1470,7 +1147,7 @@ fn sample_quantile(sorted: &[u64], q: f64) -> u64 {
 /// the same oracle in-process, synthesizes a deterministic workload
 /// (strided three-seed sets, the `profile` recipe), and first asserts that
 /// the served answers are **bit-identical** to the in-process
-/// `influence_many_frozen` answers — only then does it time anything. Each
+/// [`ServedOracle::influence_many`] answers — only then does it time anything. Each
 /// of the `--clients` connections then drives `--batches` influence frames
 /// of `--batch-size` seed sets back-to-back; the report prints aggregate
 /// queries/s plus exact p50/p99/p999 per-request latencies.
@@ -1502,19 +1179,13 @@ pub fn bench_serve(args: &ParsedArgs) -> CmdResult {
     };
 
     // The in-process reference the served answers must match bit-for-bit.
-    let reference = load_oracle(path)?;
+    let reference = open_oracle(path, None)?.oracle;
     let n = reference.num_nodes();
     if n == 0 {
         return Err("cannot bench an empty oracle".into());
     }
-    let seed_sets: Vec<Vec<NodeId>> = (0..batch_size)
-        .map(|q| {
-            (0..3usize)
-                .map(|j| NodeId(((q * 7 + j * 11 + 1) % n) as u32))
-                .collect()
-        })
-        .collect();
-    let expected = reference.influence_many(&seed_sets, 1, None, None);
+    let seed_sets = strided_queries(batch_size, n);
+    let expected = reference.influence_many(&seed_sets, 1, &NoopRecorder);
 
     let mut probe = connect()?;
     let served = probe.influence_many(oracle_idx, &seed_sets)?;
@@ -1596,11 +1267,11 @@ USAGE:
   infprop irs <file> (--window-pct P | --window W) [--exact] [--beta B] [--top K]
   infprop topk <file> --k K (--window-pct P | --window W)
                  [--method irs|irs-exact|pagerank|hd|shd|degree-discount|skim|cte]
-                 [--seed S] [--threads T] [--no-freeze]
-                 [--metrics] [--metrics-out FILE] [--trace-out FILE]
+                 [--seed S] [--threads T] [--metrics] [--metrics-out FILE]
+                 [--trace-out FILE]
   infprop simulate <file> --seeds a,b,c (--window-pct P | --window W)
                  [--p F] [--runs N] [--model tcic|tclt] [--seed S] [--threads T]
-                 [--no-freeze] [--metrics] [--metrics-out FILE] [--trace-out FILE]
+                 [--metrics] [--metrics-out FILE] [--trace-out FILE]
   infprop channel <file> --from U --to V (--window-pct P | --window W)
   infprop generate --profile enron|lkml|facebook|higgs|slashdot|us2016
                  --scale S --out FILE [--seed N]
@@ -1631,20 +1302,22 @@ forward-delta log + MANIFEST). `append` buffers new interactions (raw
 numeric node ids in the oracle's id space, at or after the frontier) into
 its pending log; `compact` expires interactions outside the window and
 re-freezes the base (LSM-style, crash-safe: the previous generation stays
-loadable until the new MANIFEST commits). `oracle-query` accepts both
-single-file oracles and layered directories; `--queries FILE` answers one
-comma-separated seed set per line through the batched frozen kernel
-(`--threads N` fans the batch out; per-query p50/p99/p999/mean under
-`--metrics`). `profile` traces unconditionally: it replays a query
-workload (`--queries FILE`, or `--rounds N` synthesized queries), then
-prints a per-phase self/total time attribution table and the `--slowest K`
-traces by wall time from the flight recorder.
+loadable until the new MANIFEST commits). Every command taking an
+<oracle-path> accepts all six oracle artefacts: IPEI and IPAO files (read
+and frozen at load), IPFE and IPFA arenas, and layered directories.
+`oracle-query --queries FILE` answers one comma-separated seed set per
+line through the batched frozen kernel (`--threads N` fans the batch out;
+per-query p50/p99/p999/mean under `--metrics`). `profile` traces
+unconditionally: it replays a query workload (`--queries FILE`, or
+`--rounds N` synthesized queries), then prints a per-phase self/total time
+attribution table and the `--slowest K` traces by wall time from the
+flight recorder.
 
-`serve` maps one or more oracle artefacts (zero-copy via mmap when built
-with `--features mmap`) and answers influence/topk/summary requests over a
-length-prefixed binary protocol on a Unix socket and/or TCP listener; one
-INFLUENCE frame carries a whole batch of seed sets, answered through the
-batched frozen kernel. `bench-serve` drives a running server: it asserts
+`serve` loads one or more oracle artefacts (arenas zero-copy via mmap in a
+build with the `mmap` feature) and answers influence/topk/summary requests
+over a length-prefixed binary protocol on a Unix socket and/or TCP
+listener; one INFLUENCE frame carries a whole batch of seed sets, answered
+through the batched frozen kernel. `bench-serve` drives a running server: it asserts
 the served answers bit-identical to in-process answers, then reports
 queries/s and exact p50/p99/p999 per-frame latencies.
 ";

@@ -748,7 +748,7 @@ impl Layered<FrozenExactOracle> {
             u.index()
         );
         let mut out = Vec::new();
-        merged_exact_for_each(self.base_summary(u), self.overlay_summary(u), |v, t| {
+        merged_exact_for_each(self.base_summary(u), self.overlay.summary(u), |v, t| {
             out.push((v, t));
         });
         out
@@ -758,16 +758,6 @@ impl Layered<FrozenExactOracle> {
     fn base_summary(&self, u: NodeId) -> EntriesSlice<'_> {
         if u.index() < InfluenceOracle::num_nodes(&self.base) {
             self.base.summary(u)
-        } else {
-            EntriesSlice::empty()
-        }
-    }
-
-    /// The overlay layer's summary, empty for nodes past the overlay
-    /// universe (possible only for base nodes never touched by the log).
-    fn overlay_summary(&self, u: NodeId) -> EntriesSlice<'_> {
-        if u.index() < InfluenceOracle::num_nodes(&self.overlay) {
-            self.overlay.summary(u)
         } else {
             EntriesSlice::empty()
         }
@@ -918,7 +908,7 @@ impl FrozenLayer for FrozenExactOracle {
         for (v, _) in layered.base_summary(node).iter() {
             union.insert(v.index());
         }
-        for (v, _) in layered.overlay_summary(node).iter() {
+        for (v, _) in layered.overlay.summary(node).iter() {
             union.insert(v.index());
         }
     }
@@ -928,7 +918,7 @@ impl FrozenLayer for FrozenExactOracle {
         let mut gain = 0usize;
         merged_exact_for_each(
             layered.base_summary(node),
-            layered.overlay_summary(node),
+            layered.overlay.summary(node),
             |v, _| {
                 if !union.contains(v.index()) {
                     gain += 1;
@@ -943,7 +933,7 @@ impl FrozenLayer for FrozenExactOracle {
         let mut count = 0usize;
         merged_exact_for_each(
             layered.base_summary(node),
-            layered.overlay_summary(node),
+            layered.overlay.summary(node),
             |_, _| {
                 count += 1;
             },
@@ -1145,6 +1135,49 @@ mod tests {
                 assert_eq!(layered.marginal_gain(&lu, u), scratch.marginal_gain(&su, u));
             }
         }
+    }
+
+    /// `influence`, `individual` and `marginal_gain` panic on the ids at
+    /// and past `oracle`'s universe.
+    fn assert_ids_outside_panic<O: InfluenceOracle>(oracle: &O) {
+        let n = oracle.num_nodes();
+        let union = oracle.empty_union();
+        let panics = |f: &dyn Fn() -> f64| {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).is_err()
+        };
+        for id in [n, n + 2] {
+            let node = NodeId::from_index(id);
+            assert!(panics(&|| oracle.influence(&[node])), "influence of {id}");
+            assert!(panics(&|| oracle.individual(node)), "individual of {id}");
+            assert!(
+                panics(&|| oracle.marginal_gain(&union, node)),
+                "marginal gain of {id}"
+            );
+        }
+    }
+
+    #[test]
+    fn ids_outside_the_universe_panic_on_frozen_and_layered_oracles() {
+        let all = triples(60);
+        let (w, split) = (Window(8), 40);
+        let net = InteractionNetwork::from_triples(all.iter().copied());
+        assert_ids_outside_panic(&ExactIrs::compute(&net, w).freeze());
+        assert_ids_outside_panic(&ApproxIrs::compute_with_precision(&net, w, PRECISION).freeze());
+        // The appends grow the layered universe past the base's 13 nodes.
+        let base = InteractionNetwork::from_triples(all[..split].iter().copied());
+        let mut appends = interactions(&all[split..]);
+        appends.push(Interaction::from_raw(2, 15, 100));
+        let mut exact = LayeredExactOracle::from_network(&base, w);
+        let mut approx = LayeredApproxOracle::from_network_with_precision(&base, w, PRECISION);
+        for &i in &appends {
+            exact.append(i).unwrap();
+            approx.append(i).unwrap();
+        }
+        exact.refresh();
+        approx.refresh();
+        assert_eq!(InfluenceOracle::num_nodes(&exact), 16);
+        assert_ids_outside_panic(&exact);
+        assert_ids_outside_panic(&approx);
     }
 
     #[test]

@@ -468,6 +468,7 @@ impl FrozenExactOracle {
     // xtask-contract: alloc-free, kernel
     pub fn summary(&self, node: NodeId) -> EntriesSlice<'_> {
         let i = node.index();
+        assert!(i < self.num_nodes, "node outside the frozen arena");
         let lo = self.entries_at + self.offset(i) * layout::ENTRY_BYTES;
         let hi = self.entries_at + self.offset(i + 1) * layout::ENTRY_BYTES;
         EntriesSlice::new(&self.data.as_slice()[lo..hi])
@@ -820,6 +821,7 @@ impl FrozenApproxOracle {
     pub fn row(&self, node: NodeId) -> SparseRow<'_> {
         let b = self.data.as_slice();
         let i = node.index();
+        assert!(i < self.num_nodes, "node outside the frozen arena");
         let lo = get_u32(b, self.at.offsets + i * 4);
         let hi = get_u32(b, self.at.offsets + (i + 1) * 4);
         SparseRow::new(
@@ -834,6 +836,7 @@ impl FrozenApproxOracle {
     #[inline]
     // xtask-contract: alloc-free, kernel
     fn individual_at(&self, i: usize) -> f64 {
+        assert!(i < self.num_nodes, "node outside the frozen arena");
         let at = self.at.individuals + i * 8;
         let b = self.data.as_slice();
         f64::from_le_bytes([

@@ -170,6 +170,10 @@ pub(crate) fn influence_batch<O: BatchQuery, R: Recorder, T: Tracer>(
 /// The accumulator type [`Union`](InfluenceOracle::Union) lets greedy
 /// selection grow a covered set one seed at a time and probe marginal gains
 /// without re-unioning from scratch.
+///
+/// Every method taking a node id requires `node.index() < num_nodes()`.
+/// The oracles panic on an id outside their universe, so callers that take
+/// ids from outside (the server, the CLI) check them first.
 pub trait InfluenceOracle {
     /// Running union of reachability sets (hash set or HLL sketch).
     type Union: Clone;
@@ -467,6 +471,12 @@ impl ApproxOracle {
         let precision = sketches
             .first()
             .map_or(crate::DEFAULT_PRECISION, HyperLogLog::precision);
+        Self::with_precision(precision, sketches)
+    }
+
+    /// Builds from collapsed sketches of precision `precision`, which an
+    /// oracle over no nodes keeps too.
+    pub(crate) fn with_precision(precision: u8, sketches: Vec<HyperLogLog>) -> Self {
         assert!(
             sketches.iter().all(|s| s.precision() == precision),
             "all sketches must share a precision"

@@ -121,10 +121,7 @@ impl ApproxOracle {
             }
             sketches.push(HyperLogLog::from_registers(registers.clone()));
         }
-        if n == 0 {
-            return Ok(ApproxOracle::from_sketches(Vec::new()));
-        }
-        Ok(ApproxOracle::from_sketches(sketches))
+        Ok(ApproxOracle::with_precision(precision, sketches))
     }
 }
 
@@ -562,13 +559,29 @@ fn gen_file(dir: &Path, generation: u64, suffix: &str) -> PathBuf {
 }
 
 /// Writes `bytes` to `path` via a `.tmp` sibling and an atomic rename, so
-/// readers only ever observe complete files.
+/// readers only ever observe complete files. The temporary file is written
+/// in two halves, so a crash can cut it short.
 fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), CodecError> {
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
     let tmp = PathBuf::from(tmp);
-    fs::write(&tmp, bytes)?;
+    let (head, rest) = bytes.split_at(bytes.len() / 2);
+    let mut file = fs::File::create(&tmp)?;
+    file.write_all(head)?;
+    step_taken()?;
+    file.write_all(rest)?;
+    drop(file);
+    step_taken()?;
     fs::rename(&tmp, path)?;
+    step_taken()
+}
+
+/// Marks one file-system step of a layered save as taken. The crash-point
+/// test stops a save after its k-th step, for every k, by failing here;
+/// in every other build this always passes.
+fn step_taken() -> Result<(), CodecError> {
+    #[cfg(test)]
+    tests::crash_after_budget()?;
     Ok(())
 }
 
@@ -590,6 +603,9 @@ fn sweep_stale_generations(dir: &Path, keep: u64) {
         let orphan_tmp = name.ends_with(".tmp");
         if (stale_gen || orphan_tmp) && name != MANIFEST_FILE {
             let _ = fs::remove_file(entry.path());
+            if step_taken().is_err() {
+                return;
+            }
         }
     }
 }
@@ -684,6 +700,139 @@ mod tests {
     use crate::oracle::InfluenceOracle;
     use crate::{LayeredApproxOracle, LayeredExactOracle};
     use infprop_temporal_graph::{InteractionNetwork, NodeId};
+    use std::cell::Cell;
+
+    thread_local! {
+        /// File-system steps a layered save on this thread may still take
+        /// before it stops as if the process had crashed; `None` lets every
+        /// save finish.
+        static STEPS_LEFT: Cell<Option<usize>> = const { Cell::new(None) };
+    }
+
+    /// [`step_taken`] under test: fails once the thread's budget is spent.
+    pub(super) fn crash_after_budget() -> Result<(), CodecError> {
+        STEPS_LEFT.with(|left| match left.get() {
+            Some(k) if k <= 1 => {
+                left.set(Some(0));
+                Err(CodecError::Io(std::io::Error::other("simulated crash")))
+            }
+            Some(k) => {
+                left.set(Some(k - 1));
+                Ok(())
+            }
+            None => Ok(()),
+        })
+    }
+
+    /// Stops `op` on a fresh save of `old` after its k-th file-system step,
+    /// for k = 1, 2, … until it finishes: every `.tmp` write, cut short or
+    /// complete, every rename and every removal of the sweep. Each time the
+    /// directory is reopened. Until the rename of `commit` lands, it must
+    /// answer exactly as `old`; from then on, exactly as `new`. Returns the
+    /// number of steps `op` takes.
+    fn assert_every_crash_point_reopens<B: FrozenLayer>(
+        tag: &str,
+        old: &Layered<B>,
+        new: &Layered<B>,
+        commit: &str,
+        op: impl Fn(&Path) -> Result<(), CodecError>,
+    ) -> usize {
+        let n = InfluenceOracle::num_nodes(old).min(InfluenceOracle::num_nodes(new));
+        let mut queries: Vec<Vec<NodeId>> = (0..n).map(|u| vec![NodeId::from_index(u)]).collect();
+        queries.push((0..n).map(NodeId::from_index).collect());
+        queries.push(vec![NodeId(1), NodeId(7)]);
+        let answers = |o: &Layered<B>| {
+            let mut bits = vec![InfluenceOracle::num_nodes(o) as u64];
+            bits.extend(
+                o.influence_many_frozen(&queries, 1)
+                    .iter()
+                    .map(|v| v.to_bits()),
+            );
+            bits
+        };
+        let (old_answers, new_answers) = (answers(old), answers(new));
+        assert_ne!(
+            old_answers, new_answers,
+            "{tag}: the operation changes no answer"
+        );
+        let dir = tempdir(tag);
+        let mut as_old = 0;
+        for k in 1.. {
+            let _ = fs::remove_dir_all(&dir);
+            old.save_layered(&dir).unwrap();
+            let before = fs::read(dir.join(commit)).unwrap();
+            STEPS_LEFT.with(|left| left.set(Some(k)));
+            let result = op(&dir);
+            let stopped = STEPS_LEFT.with(|left| left.replace(None)) == Some(0);
+            let reopened = Layered::<B>::open_layered(&dir)
+                .unwrap_or_else(|e| panic!("{tag}: stopped after step {k}: {e}"));
+            let committed = fs::read(dir.join(commit)).unwrap() != before;
+            let want = if committed {
+                &new_answers
+            } else {
+                &old_answers
+            };
+            assert_eq!(&answers(&reopened), want, "{tag}: stopped after step {k}");
+            as_old += usize::from(!committed);
+            if !stopped {
+                result.unwrap();
+                assert!(committed && as_old > 0, "{tag}");
+                let _ = fs::remove_dir_all(&dir);
+                return k - 1;
+            }
+        }
+        unreachable!()
+    }
+
+    /// Enumerates the crash points of `save_layered` after a compaction
+    /// and of `persist_pending` after an append, on `oracle`.
+    fn assert_layered_saves_are_crash_safe<B: FrozenLayer>(tag: &str, mut oracle: Layered<B>)
+    where
+        Layered<B>: Clone,
+    {
+        let t = oracle.frontier().unwrap().get();
+        oracle.append(Interaction::from_raw(7, 8, t + 3)).unwrap();
+        oracle.refresh();
+        let mut compacted = oracle.clone();
+        compacted.compact();
+        let steps = assert_every_crash_point_reopens(
+            &format!("{tag}-compact"),
+            &oracle,
+            &compacted,
+            MANIFEST_FILE,
+            |dir| compacted.save_layered(dir),
+        );
+        // Four files of three steps each, then the sweep of three stale
+        // generation-0 files.
+        assert_eq!(steps, 4 * 3 + 3, "{tag}");
+
+        let mut appended = oracle.clone();
+        appended
+            .append(Interaction::from_raw(8, 41, t + 5))
+            .unwrap();
+        appended.refresh();
+        let steps = assert_every_crash_point_reopens(
+            &format!("{tag}-append"),
+            &oracle,
+            &appended,
+            "gen-0.pending",
+            |dir| appended.persist_pending(dir),
+        );
+        assert_eq!(steps, 3, "{tag}");
+    }
+
+    #[test]
+    fn every_crash_point_of_a_layered_save_reopens_as_one_generation() {
+        let net = network();
+        assert_layered_saves_are_crash_safe(
+            "crash-points-exact",
+            LayeredExactOracle::from_network(&net, Window(90)),
+        );
+        assert_layered_saves_are_crash_safe(
+            "crash-points-approx",
+            LayeredApproxOracle::from_network_with_precision(&net, Window(90), 6),
+        );
+    }
 
     fn network() -> InteractionNetwork {
         InteractionNetwork::from_triples((0..500u32).map(|i| (i % 40, (i * 13 + 1) % 40, i as i64)))
@@ -728,6 +877,19 @@ mod tests {
         let back = ApproxOracle::read_from(&mut bytes.as_slice()).unwrap();
         use crate::oracle::InfluenceOracle;
         assert_eq!(back.num_nodes(), 0);
+    }
+
+    #[test]
+    fn empty_oracle_keeps_its_header_precision() {
+        let mut header = ORACLE_MAGIC.to_vec();
+        header.extend_from_slice(&[FORMAT_VERSION, 12]);
+        header.extend_from_slice(&0u32.to_le_bytes());
+        let back = ApproxOracle::read_from(&mut header.as_slice()).unwrap();
+        assert_eq!(back.precision_value(), 12);
+        assert_eq!(back.freeze().precision(), 12);
+        let mut again = Vec::new();
+        back.write_to(&mut again).unwrap();
+        assert_eq!(again, header);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The batched oracle serving tier: a long-lived, std-only server that
-//! maps one or more frozen arenas (or layered directories) and answers
-//! influence queries over a length-prefixed binary protocol.
+//! loads one or more oracle artefacts ([`Artefact`]) and answers influence
+//! queries over a length-prefixed binary protocol.
 //!
 //! # Protocol (version 1)
 //!
@@ -49,12 +49,12 @@
 //! `serve.batch_size`.
 
 use crate::frozen::{FrozenApproxOracle, FrozenExactOracle};
-use crate::maximize::{greedy_top_k_recorded, Selection};
+use crate::maximize::{greedy_top_k_traced, Selection};
 use crate::obs::{metric_u64, Counter, Hist, Recorder, Span};
 use crate::oracle::InfluenceOracle;
 use crate::persist::{LayeredKind, LayeredManifest, MANIFEST_FILE};
 use crate::trace::{NoopTracer, SpanId, TraceEvent, TraceId, Tracer};
-use crate::{FrozenLayer, LayeredApproxOracle, LayeredExactOracle};
+use crate::{ApproxOracle, ExactIrs, FrozenLayer, LayeredApproxOracle, LayeredExactOracle};
 use infprop_hll::CodecError;
 use infprop_temporal_graph::{NodeId, Timestamp};
 use std::fmt;
@@ -435,17 +435,66 @@ pub fn decode_ack_response(payload: &[u8]) -> Result<(), ServeError> {
 }
 
 // ---------------------------------------------------------------------------
-// ServedOracle — the mapped oracles a server answers from
+// ServedOracle — the oracles a server answers from
 // ---------------------------------------------------------------------------
 
-/// One mapped oracle a server instance answers queries from: a frozen
-/// arena file loaded zero-copy through
-/// [`ArenaBytes`](crate::ArenaBytes), or a layered directory whose base
-/// arena is.
+/// The six on-disk oracle artefacts [`ServedOracle`] loads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Artefact {
+    /// Live exact summaries (`IPEI`), read and frozen at load.
+    ExactSummaries,
+    /// A frozen exact arena (`IPFE`), loaded zero-copy.
+    FrozenExact,
+    /// Live collapsed sketches (`IPAO`), read and frozen at load.
+    Sketches,
+    /// A frozen register arena (`IPFA`), loaded zero-copy.
+    FrozenApprox,
+    /// A layered directory (holds a `MANIFEST`), whose base arena loads
+    /// zero-copy.
+    Layered(LayeredKind),
+}
+
+impl Artefact {
+    /// Detects the artefact at `path`: a directory by its `MANIFEST`, a
+    /// file by its magic bytes.
+    pub fn detect(path: &Path) -> Result<Self, CodecError> {
+        if path.join(MANIFEST_FILE).is_file() {
+            return Ok(Artefact::Layered(
+                LayeredManifest::read_from_dir(path)?.kind,
+            ));
+        }
+        let mut magic = [0u8; 4];
+        fs::File::open(path)?.read_exact(&mut magic)?;
+        match &magic {
+            b"IPEI" => Ok(Artefact::ExactSummaries),
+            b"IPFE" => Ok(Artefact::FrozenExact),
+            b"IPAO" => Ok(Artefact::Sketches),
+            b"IPFA" => Ok(Artefact::FrozenApprox),
+            _ => Err(CodecError::BadMagic),
+        }
+    }
+
+    /// The artefact's name, as load errors and logs print it.
+    pub fn name(self) -> &'static str {
+        match self {
+            Artefact::ExactSummaries => "IPEI exact summaries",
+            Artefact::FrozenExact => "IPFE frozen exact arena",
+            Artefact::Sketches => "IPAO sketch oracle",
+            Artefact::FrozenApprox => "IPFA frozen register arena",
+            Artefact::Layered(LayeredKind::Exact) => "layered exact oracle directory",
+            Artefact::Layered(LayeredKind::Approx) => "layered sketch oracle directory",
+        }
+    }
+}
+
+/// One oracle a server instance answers queries from: a frozen arena —
+/// loaded zero-copy through [`ArenaBytes`](crate::ArenaBytes), or frozen
+/// at load from live summaries — or a layered directory whose base arena
+/// is loaded zero-copy.
 pub enum ServedOracle {
-    /// A frozen exact arena (`IPFE`).
+    /// A frozen exact arena (from `IPFE`, or `IPEI` frozen at load).
     FrozenExact(FrozenExactOracle),
-    /// A frozen register arena (`IPFA`).
+    /// A frozen register arena (from `IPFA`, or `IPAO` frozen at load).
     FrozenApprox(FrozenApproxOracle),
     /// A layered exact directory (base arena + delta overlay).
     LayeredExact(Box<LayeredExactOracle>),
@@ -454,43 +503,48 @@ pub enum ServedOracle {
 }
 
 impl ServedOracle {
-    /// Maps `path` — a frozen arena file (magic-sniffed `IPFE`/`IPFA`) or
-    /// a layered directory (holds a `MANIFEST`) — validates it deeply, and
-    /// records the wall time in the `oracle.load_ns` histogram and the
-    /// `oracle.load` span.
+    /// Loads any [`Artefact`] at `path`, detected by
+    /// [`Artefact::detect`]; see [`open_as`](Self::open_as).
     pub fn open_recorded<R: Recorder>(path: &Path, rec: &R) -> Result<Self, CodecError> {
+        Self::open_as(path, Artefact::detect(path)?, rec)
+    }
+
+    /// Loads `path` as `artefact`: a frozen arena file or a layered
+    /// directory is validated deeply, `IPEI` and `IPAO` files are read and
+    /// frozen (freezing changes no answer). Records the wall time in the
+    /// `oracle.load_ns` histogram and the `oracle.load` span.
+    pub fn open_as<R: Recorder>(
+        path: &Path,
+        artefact: Artefact,
+        rec: &R,
+    ) -> Result<Self, CodecError> {
         let t0 = rec.span_start();
-        let out = Self::open_impl(path)?;
+        let read = || fs::File::open(path).map(io::BufReader::new);
+        let out = match artefact {
+            Artefact::ExactSummaries => {
+                ServedOracle::FrozenExact(ExactIrs::read_from(&mut read()?)?.freeze())
+            }
+            Artefact::FrozenExact => {
+                ServedOracle::FrozenExact(FrozenExactOracle::load_checked(path)?)
+            }
+            Artefact::Sketches => {
+                ServedOracle::FrozenApprox(ApproxOracle::read_from(&mut read()?)?.freeze())
+            }
+            Artefact::FrozenApprox => {
+                ServedOracle::FrozenApprox(FrozenApproxOracle::load_checked(path)?)
+            }
+            Artefact::Layered(LayeredKind::Exact) => {
+                ServedOracle::LayeredExact(Box::new(LayeredExactOracle::open_layered(path)?))
+            }
+            Artefact::Layered(LayeredKind::Approx) => {
+                ServedOracle::LayeredApprox(Box::new(LayeredApproxOracle::open_layered(path)?))
+            }
+        };
         if let Some(ns) = t0.elapsed_ns() {
             rec.record(Hist::OracleLoadNs, ns);
         }
         rec.span_end(Span::OracleLoad, t0);
         Ok(out)
-    }
-
-    fn open_impl(path: &Path) -> Result<Self, CodecError> {
-        if path.join(MANIFEST_FILE).is_file() {
-            let manifest = LayeredManifest::read_from_dir(path)?;
-            return Ok(match manifest.kind {
-                LayeredKind::Exact => {
-                    ServedOracle::LayeredExact(Box::new(LayeredExactOracle::open_layered(path)?))
-                }
-                LayeredKind::Approx => {
-                    ServedOracle::LayeredApprox(Box::new(LayeredApproxOracle::open_layered(path)?))
-                }
-            });
-        }
-        let mut magic = [0u8; 4];
-        fs::File::open(path)?.read_exact(&mut magic)?;
-        match &magic {
-            b"IPFE" => Ok(ServedOracle::FrozenExact(FrozenExactOracle::load_checked(
-                path,
-            )?)),
-            b"IPFA" => Ok(ServedOracle::FrozenApprox(
-                FrozenApproxOracle::load_checked(path)?,
-            )),
-            _ => Err(CodecError::BadMagic),
-        }
     }
 
     /// Human-readable description for startup logging.
@@ -528,35 +582,61 @@ impl ServedOracle {
         }
     }
 
-    /// The batched influence query every `INFLUENCE` frame funnels into.
+    /// The batched influence query every `INFLUENCE` frame funnels into:
+    /// [`influence_many_traced`](Self::influence_many_traced) untraced.
     pub fn influence_many<R: Recorder>(
         &self,
         seed_sets: &[Vec<NodeId>],
         threads: usize,
         rec: &R,
     ) -> Vec<f64> {
+        self.influence_many_traced(seed_sets, threads, rec, NoopTracer)
+    }
+
+    /// `Inf(S_i)` for every seed set through the oracle's batch kernel
+    /// (`influence_many_frozen_traced`), fanned out over up to `threads`
+    /// workers and instrumented by `rec` and `tracer`.
+    pub fn influence_many_traced<R: Recorder, T: Tracer>(
+        &self,
+        seed_sets: &[Vec<NodeId>],
+        threads: usize,
+        rec: &R,
+        tracer: T,
+    ) -> Vec<f64> {
         match self {
             ServedOracle::FrozenExact(o) => {
-                o.influence_many_frozen_traced(seed_sets, threads, rec, NoopTracer)
+                o.influence_many_frozen_traced(seed_sets, threads, rec, tracer)
             }
             ServedOracle::FrozenApprox(o) => {
-                o.influence_many_frozen_traced(seed_sets, threads, rec, NoopTracer)
+                o.influence_many_frozen_traced(seed_sets, threads, rec, tracer)
             }
             ServedOracle::LayeredExact(o) => {
-                o.influence_many_frozen_traced(seed_sets, threads, rec, NoopTracer)
+                o.influence_many_frozen_traced(seed_sets, threads, rec, tracer)
             }
             ServedOracle::LayeredApprox(o) => {
-                o.influence_many_frozen_traced(seed_sets, threads, rec, NoopTracer)
+                o.influence_many_frozen_traced(seed_sets, threads, rec, tracer)
             }
         }
     }
 
-    fn top_k<R: Recorder>(&self, k: usize, threads: usize, rec: &R) -> Vec<Selection> {
+    /// Greedy top-`k` seed selection ([`greedy_top_k_traced`]), its
+    /// individual-influence sweep fanned out over up to `threads` workers.
+    pub fn top_k_traced<R: Recorder, T: Tracer>(
+        &self,
+        k: usize,
+        threads: usize,
+        rec: &R,
+        tracer: T,
+    ) -> Vec<Selection> {
         match self {
-            ServedOracle::FrozenExact(o) => greedy_top_k_recorded(o, k, threads, rec),
-            ServedOracle::FrozenApprox(o) => greedy_top_k_recorded(o, k, threads, rec),
-            ServedOracle::LayeredExact(o) => greedy_top_k_recorded(o.as_ref(), k, threads, rec),
-            ServedOracle::LayeredApprox(o) => greedy_top_k_recorded(o.as_ref(), k, threads, rec),
+            ServedOracle::FrozenExact(o) => greedy_top_k_traced(o, k, threads, rec, tracer),
+            ServedOracle::FrozenApprox(o) => greedy_top_k_traced(o, k, threads, rec, tracer),
+            ServedOracle::LayeredExact(o) => {
+                greedy_top_k_traced(o.as_ref(), k, threads, rec, tracer)
+            }
+            ServedOracle::LayeredApprox(o) => {
+                greedy_top_k_traced(o.as_ref(), k, threads, rec, tracer)
+            }
         }
     }
 
@@ -705,7 +785,7 @@ fn handle_request_inner<R: Recorder>(
             if !r.finished() {
                 return Err(ServeError::Protocol("trailing bytes in topk request"));
             }
-            let picks = oracle.top_k(k.min(oracle.num_nodes()), threads, rec);
+            let picks = oracle.top_k_traced(k.min(oracle.num_nodes()), threads, rec, NoopTracer);
             let mut response = Vec::with_capacity(5 + 20 * picks.len());
             response.push(STATUS_OK);
             put_u32(&mut response, metric_u64(picks.len()) as u32); // xtask-allow: no-lossy-cast (k fits u32)
@@ -1124,9 +1204,9 @@ impl Client {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::maximize::greedy_top_k_recorded;
     use crate::obs::{MetricsRecorder, NoopRecorder};
     use crate::trace::NoopTracer;
-    use crate::ExactIrs;
     use infprop_temporal_graph::{InteractionNetwork, Window};
 
     fn fixture() -> FrozenExactOracle {
@@ -1418,6 +1498,43 @@ mod tests {
             Err(CodecError::BadMagic)
         ));
         let _ = fs::remove_dir_all(path.parent().unwrap());
+    }
+
+    #[test]
+    fn live_summary_and_sketch_files_are_frozen_at_load() {
+        let net = InteractionNetwork::from_triples(
+            (0..60u32).map(|i| (i % 11, (i * 5 + 2) % 11, i64::from(i / 2))),
+        );
+        let exact = ExactIrs::compute(&net, Window(8));
+        let sketches = crate::ApproxIrs::compute_with_precision(&net, Window(8), 7).oracle();
+        let dir = std::env::temp_dir().join(format!("infprop-serve-live-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        let (ipei, ipao) = (dir.join("g.ipei"), dir.join("g.ipao"));
+        exact
+            .write_to(&mut fs::File::create(&ipei).unwrap())
+            .unwrap();
+        sketches
+            .write_to(&mut fs::File::create(&ipao).unwrap())
+            .unwrap();
+        assert_eq!(Artefact::detect(&ipei).unwrap(), Artefact::ExactSummaries);
+        assert_eq!(Artefact::detect(&ipao).unwrap(), Artefact::Sketches);
+        let bits = |answers: Vec<f64>| answers.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let sets = seed_sets();
+        let served = ServedOracle::open_recorded(&ipei, &NoopRecorder).unwrap();
+        assert!(matches!(served, ServedOracle::FrozenExact(_)));
+        let live = exact.oracle();
+        assert_eq!(
+            bits(served.influence_many(&sets, 1, &NoopRecorder)),
+            bits(sets.iter().map(|s| live.influence(s)).collect())
+        );
+        let served = ServedOracle::open_recorded(&ipao, &NoopRecorder).unwrap();
+        assert!(matches!(served, ServedOracle::FrozenApprox(_)));
+        assert_eq!(
+            bits(served.influence_many(&sets, 1, &NoopRecorder)),
+            bits(sets.iter().map(|s| sketches.influence(s)).collect())
+        );
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
